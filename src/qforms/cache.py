@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -52,9 +53,16 @@ def save_entry(path: str | Path, group: FormClassGroup, table: WTable | None = N
     else:
         parts.append(struct.pack("<q", table.N))
         parts.append(_pack_array(table.w, "<i8"))
-    tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(b"".join(parts))
-    os.replace(tmp, path)
+    # a unique temp file per writer, so concurrent saves of one blob never
+    # write through the same file
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(b"".join(parts))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 class _Reader:

@@ -5,6 +5,12 @@ congruence system, class group construction by exhaustive reduced-triple
 enumeration, and exact representation counting by lattice enumeration.
 Forms are integral, primitive and positive definite throughout; class groups
 are built for fundamental discriminants only (maximal orders).
+
+The lattice kernel behind value_counts and represented_mask uses
+f(x, y) = f(-x, -y): it enumerates only the half lattice (y > 0 with every
+x, y = 0 with x >= 1), taking every row's exact x-range from one vectorised
+integer square root, and emits the values in numpy chunks of about _CHUNK
+points, so memory stays bounded at any limit.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[int, int], tuple[int, int]]
+
+_CHUNK = 1 << 14  # lattice points per chunk of the representation kernel
 
 _IDENTITY: Matrix = ((1, 0), (0, 1))
 _SWAP: Matrix = ((0, -1), (1, 0))
@@ -404,54 +412,62 @@ def classes_representing(group: FormClassGroup, n: int) -> frozenset[int]:
     )
 
 
-def _row_bounds(f: QuadForm, limit: int, y: int) -> tuple[int, int] | None:
-    """Integer x-range with f(x, y) <= limit, exact at the boundary.
+def _half_rows(f: QuadForm, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (y, lo, hi) of the half lattice with f(x, y) <= limit.
 
-    The integer-sqrt candidates are within one of the true roots, so a
-    single expansion step plus an inward scan (bounded by the other end)
-    is enough; a real interval containing no integer yields None.
+    The half lattice is y > 0 with every x plus y = 0 with x >= 1: one point
+    of each pair +-(x, y) != (0, 0).  With s = isqrt(4a limit - |D| y^2),
+    f(x, y) <= limit iff |2ax + by| <= s, so lo = -floor((by + s) / 2a) and
+    hi = floor((s - by) / 2a) are exact; a row with no integer point has
+    lo > hi.
     """
     a, b = f.a, f.b
-    disc_y = 4 * a * limit + f.disc * y * y
-    if disc_y < 0:
-        return None
-    s = math.isqrt(disc_y)
-    lo = -((b * y + s) // (2 * a))  # ceil of the left root, within one
-    hi = (s - b * y) // (2 * a)  # floor of the right root, within one
-    if f.value(lo - 1, y) <= limit:
-        lo -= 1
-    while lo <= hi and f.value(lo, y) > limit:
-        lo += 1
-    if f.value(hi + 1, y) <= limit:
-        hi += 1
-    while hi >= lo and f.value(hi, y) > limit:
-        hi -= 1
-    if lo > hi or f.value(lo, y) > limit:
-        return None
-    return lo, hi
+    abs_d = -f.disc
+    top = 4 * a * limit
+    if top >= 1 << 52:
+        raise ValueError("limit too large for the exact lattice kernel")
+    y = np.arange(math.isqrt(top // abs_d) + 1, dtype=np.int64)
+    t = top - abs_d * y * y
+    s = np.sqrt(t).astype(np.int64)  # within one of isqrt(t) below 2^52
+    s -= s * s > t
+    s += (s + 1) * (s + 1) <= t
+    lo = -((b * y + s) // (2 * a))
+    hi = (s - b * y) // (2 * a)
+    lo[0] = 1
+    return y, lo, hi
 
 
-def _lattice_rows(f: QuadForm, limit: int):
-    ymax = math.isqrt(4 * f.a * limit // -f.disc)
+def _half_lattice_values(f: QuadForm, limit: int):
+    """f(x, y) over the half lattice up to limit, in chunks of about _CHUNK values.
+
+    Whole rows are grouped into a chunk, so its size is at most _CHUNK plus
+    one row, and memory stays O(_CHUNK + sqrt(limit)) at any limit.
+    """
+    y, lo, hi = _half_rows(f, limit)
+    n = hi - lo + 1
+    keep = n > 0
+    y, lo, n = y[keep], lo[keep], n[keep]
+    if not n.size:
+        return
+    ends = np.cumsum(n)
+    starts = ends - n
+    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK), side="right"))
     a, b, c = f.a, f.b, f.c
-    for y in range(-ymax, ymax + 1):
-        bounds = _row_bounds(f, limit, y)
-        if bounds is None:
-            continue
-        xs = np.arange(bounds[0], bounds[1] + 1, dtype=np.int64)
-        yield xs * (a * xs + b * y) + c * y * y
+    for r0, r1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size]):
+        cnt = n[r0:r1]
+        ys = np.repeat(y[r0:r1], cnt)
+        xs = np.arange(starts[r0], ends[r1 - 1]) - np.repeat(starts[r0:r1] - lo[r0:r1], cnt)
+        yield xs * (a * xs + b * ys) + c * ys * ys
 
 
 def value_counts(f: QuadForm, limit: int) -> np.ndarray:
     """counts[n] = #{(x, y) : f(x, y) = n} for 0 <= n <= limit (counts[0] = 0)."""
     if limit < 1:
         raise ValueError("limit must be positive")
-    rows = list(_lattice_rows(f, limit))
-    if not rows:
-        return np.zeros(limit + 1, dtype=np.int64)
-    counts = np.bincount(np.concatenate(rows), minlength=limit + 1)
-    counts[0] = 0
-    return counts.astype(np.int64)
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for vals in _half_lattice_values(f, limit):
+        np.add.at(counts, vals, 2)  # (x, y) and (-x, -y)
+    return counts
 
 
 def represented_mask(f: QuadForm, limit: int) -> np.ndarray:
@@ -459,7 +475,6 @@ def represented_mask(f: QuadForm, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be positive")
     mask = np.zeros(limit + 1, dtype=bool)
-    for vals in _lattice_rows(f, limit):
+    for vals in _half_lattice_values(f, limit):
         mask[vals] = True
-    mask[0] = False
     return mask

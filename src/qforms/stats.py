@@ -20,7 +20,7 @@ import numpy as np
 from . import arith
 from .arith import Discriminant, SieveTables, kronecker
 from .characters import ClassCharacter, WTable, lambda_table
-from .forms import FormClassGroup, class_group, represented_mask, representation_count
+from .forms import FormClassGroup, class_group, represented_mask
 from .serialize import canonical_json, format_float
 
 __all__ = [
@@ -126,10 +126,15 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
         return np.zeros(group.h, dtype=np.int64)
     ps = sieve.primes
     ps = ps[: np.searchsorted(ps, limit, side="right")]
+    # (a, b, c) and (a, -b, c) represent the same integers (x -> -x), so
+    # one mask serves each pair of inverse classes
+    counts: dict[tuple[int, int, int], int] = {}
     out = np.zeros(group.h, dtype=np.int64)
     for i, f in enumerate(group.classes):
-        mask = represented_mask(f, limit)
-        out[i] = int(np.count_nonzero(mask[ps]))
+        key = (f.a, abs(f.b), f.c)
+        if key not in counts:
+            counts[key] = int(np.count_nonzero(represented_mask(f, limit)[ps]))
+        out[i] = counts[key]
     return out
 
 

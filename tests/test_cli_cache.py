@@ -1,5 +1,9 @@
+import hashlib
 import json
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -66,6 +70,46 @@ def test_load_or_build_rebuilds_on_version_bump(tmp_path, monkeypatch):
     assert warnings and "rebuilt" in warnings[0]
 
 
+def test_concurrent_saves_of_one_blob(tmp_path):
+    q = classify_discriminant(-47)
+    group = class_group(q)
+    table = build_w_table(group, 2000)
+    path = cache.cache_path(tmp_path, q)
+    writers = 4  # more than the cores, with frequent thread switches
+    barrier = threading.Barrier(writers)
+
+    def save():
+        barrier.wait(timeout=60)
+        for _ in range(10):
+            cache.save_entry(path, group, table)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=writers) as pool:
+            for fut in [pool.submit(save) for _ in range(writers)]:
+                fut.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    loaded, loaded_table = cache.load_entry(path)
+    assert loaded.classes == group.classes
+    assert np.array_equal(loaded_table.w, table.w)
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
+    q = classify_discriminant(-23)
+    path = cache.cache_path(tmp_path, q)
+
+    def refuse(*_args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", refuse)
+    with pytest.raises(OSError):
+        cache.save_entry(path, class_group(q))
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -121,6 +165,26 @@ def test_scan_bv_json_deterministic(capsys):
     payload = json.loads(out1)
     assert payload["meta"]["statistic"] == "bv"
     assert all(not row["exceptional"] for row in payload["rows"])
+
+
+# sha256 of the stdout of `qforms <command> -Q 200 -X 1000001 --format json`,
+# trailing newline included: canonical JSON must not move by a byte when the
+# lattice kernel or the scan's threading changes
+SCAN_GOLDEN = {
+    "scan-bv": "4c19ad9bfba21f4be8c0cefb29eff1ae9b8609e2eabac1838283035f1dcf6a10",
+    "scan-bdh": "2c3a151a5a7b963417b557b0dbe4fe9fe171c2a0e169c3258a10e21a0d48253b",
+}
+
+
+@pytest.mark.parametrize("command", sorted(SCAN_GOLDEN))
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_scan_golden_output(capsys, command, threads):
+    code, out, _ = run_cli(
+        capsys, command, "-Q", "200", "-X", "1000001", "--format", "json",
+        "--threads", threads,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command]
 
 
 def test_scan_bdh_runs(capsys):

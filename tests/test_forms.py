@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qforms import arith
+from qforms import arith, forms
 from qforms.arith import fundamental_discriminants, kronecker
 from qforms.forms import (
     QuadForm,
@@ -291,3 +292,98 @@ def test_class_number_formula_small():
         a = q.abs_q
         s = sum(k * kronecker(q.q, k) for k in range(1, a))
         assert -w_units(q.q) * s == 2 * a * class_number(a), q.q
+
+
+# ---------------------------------------------------------------------------
+# lattice kernel against a brute-force oracle
+
+
+def _lattice_brute(f: QuadForm, limit: int) -> np.ndarray:
+    """counts[n] for 1 <= n <= limit by a full double loop over the box.
+
+    For a reduced form f(x, y) <= limit forces x^2, y^2 <= 4 c limit / |D|.
+    """
+    r = math.isqrt(4 * f.c * limit // -f.disc) + 1
+    x = np.arange(-r, r + 1, dtype=np.int64)[:, None]
+    y = np.arange(-r, r + 1, dtype=np.int64)[None, :]
+    vals = (f.a * x * x + f.b * x * y + f.c * y * y).ravel()
+    return np.bincount(vals[(vals >= 1) & (vals <= limit)], minlength=limit + 1)
+
+
+def _kernel_matches_brute(f: QuadForm, limit: int) -> bool:
+    counts = _lattice_brute(f, limit)
+    return np.array_equal(value_counts(f, limit), counts) and np.array_equal(
+        represented_mask(f, limit), counts > 0
+    )
+
+
+# q = -3 and -4, b = 0, |b| = a, a = c; reduced forms with a large leading
+# coefficient have rows without integer points at small limits
+_EDGE_FORMS = [
+    QuadForm(1, 1, 1),
+    QuadForm(1, 0, 1),
+    QuadForm(2, 0, 3),
+    QuadForm(2, 2, 3),
+    QuadForm(3, 2, 3),
+    QuadForm(5, 5, 7),
+    QuadForm(7, 3, 7),
+    QuadForm(11, -5, 13),
+]
+
+
+@st.composite
+def reduced_primitive_forms(draw):
+    a = draw(st.integers(min_value=1, max_value=40))
+    b = draw(st.integers(min_value=-a + 1, max_value=a))
+    c = draw(st.integers(min_value=a, max_value=3 * a + 20))
+    f = QuadForm(a, b, c)
+    assume(f.is_reduced and f.is_primitive)
+    return f
+
+
+@given(
+    f=st.one_of(st.sampled_from(_EDGE_FORMS), reduced_primitive_forms()),
+    limit=st.integers(min_value=1, max_value=3000),
+)
+def test_lattice_kernel_matches_brute(f, limit):
+    assert _kernel_matches_brute(f, limit), (tuple(f), limit)
+
+
+def test_lattice_oracle_fires_on_planted_faults(monkeypatch):
+    real = forms._half_rows
+
+    def hi_short_by_one(f, limit):
+        y, lo, hi = real(f, limit)
+        return y, lo, hi - 1
+
+    def y0_row_dropped(f, limit):
+        y, lo, hi = real(f, limit)
+        lo = lo.copy()
+        lo[0] = hi[0] + 1
+        return y, lo, hi
+
+    cases = [(f, limit) for f in _EDGE_FORMS for limit in (1, 10, 300, 3000)]
+    assert all(_kernel_matches_brute(f, limit) for f, limit in cases)
+    for fault in (hi_short_by_one, y0_row_dropped):
+        monkeypatch.setattr(forms, "_half_rows", fault)
+        assert not all(_kernel_matches_brute(f, limit) for f, limit in cases), fault
+
+
+def test_lattice_kernel_refuses_inexact_sizes():
+    # 4 a limit = 2^52: the float square root would no longer be exact
+    with pytest.raises(ValueError):
+        value_counts(QuadForm(1 << 40, 1, 1 << 40), 1 << 10)
+
+
+def test_represented_mask_memory_is_chunked():
+    # (1, 1, 1) has about 1.8e7 lattice points up to 1e7: an unchunked
+    # kernel holds well over 100 MB of int64 values at once
+    limit = 10**7
+    tracemalloc.start()
+    try:
+        mask = represented_mask(QuadForm(1, 1, 1), limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert mask.nbytes == limit + 1
+    assert peak < mask.nbytes + 4 * 2**20, peak

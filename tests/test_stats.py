@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from qforms import arith, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants, kronecker
 from qforms.characters import build_w_table, characters
-from qforms.forms import class_group, representation_count
+from qforms.forms import class_group, representation_count, represented_mask
 from qforms.stats import (
     StatConfig,
     bdh_statistic,
@@ -77,6 +77,19 @@ def test_pi_repr_against_per_prime_recount(sieve_10k):
                 if representation_count(f, p) > 0
             )
             assert pi_repr(500, group, c, sieve_10k) == slow
+
+
+def test_pi_repr_all_equal_on_inverse_classes(sieve_1m):
+    # pi_repr_all shares one mask per inverse pair; each class's own mask
+    # must give the same count
+    X = 200_000
+    ps = sieve_1m.primes[sieve_1m.primes <= X]
+    for q in arith.fundamental_discriminants(200):
+        group = class_group(q)
+        pis = stats.pi_repr_all(X, group, sieve_1m)
+        for i, f in enumerate(group.classes):
+            assert pis[i] == pis[group.inverse(i)], (q.q, i)
+            assert pis[i] == np.count_nonzero(represented_mask(f, X)[ps]), (q.q, i)
 
 
 def test_psi_trivial_cases():
