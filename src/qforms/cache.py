@@ -1,8 +1,10 @@
 """Binary on-disk cache for class groups and weight tables.
 
 One blob per discriminant, keyed by |q|, with a versioned little-endian
-header; any format mismatch or corruption surfaces as CacheError so callers
-can rebuild.  A version bump invalidates all existing blobs.
+header and a trailing CRC-32 of everything before it; any format mismatch,
+checksum failure, length mismatch or inconsistent group table surfaces as
+CacheError so callers can rebuild.  A version bump invalidates all existing
+blobs.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import os
 import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +24,9 @@ from .forms import FormClassGroup, QuadForm, class_group
 __all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_or_build"]
 
 _MAGIC = b"QFGC"
-_VERSION = 1
+_VERSION = 2
 _HEADER = struct.Struct("<4sIqII")  # magic, version, q, h, rank
+_CRC = struct.Struct("<I")  # zlib.crc32 of header and payload, at the end
 
 
 class CacheError(Exception):
@@ -53,12 +57,13 @@ def save_entry(path: str | Path, group: FormClassGroup, table: WTable | None = N
     else:
         parts.append(struct.pack("<q", table.N))
         parts.append(_pack_array(table.w, "<i8"))
+    body = b"".join(parts)
     # a unique temp file per writer, so concurrent saves of one blob never
     # write through the same file
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(b"".join(parts))
+            fh.write(body + _CRC.pack(zlib.crc32(body)))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -83,18 +88,36 @@ class _Reader:
         return np.frombuffer(self.take(size), dtype=dt).reshape(shape).copy()
 
 
+def _check_latin_square(comp: np.ndarray) -> None:
+    """A group table is a Latin square whose row 0 (the principal class) is
+    the identity.  On one, every power sequence returns to the identity, so
+    FormClassGroup.orders terminates when it checks the stored orders."""
+    ident = np.arange(len(comp))
+    if not (
+        np.array_equal(comp[0], ident)
+        and (np.sort(comp, axis=0) == ident[:, None]).all()
+        and (np.sort(comp, axis=1) == ident).all()
+    ):
+        raise CacheError("composition table is not a group table")
+
+
 def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
-    """Load a blob; raises CacheError on any header/format problem."""
+    """Load a blob; raises CacheError on any header, checksum or format problem."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise CacheError(str(exc)) from exc
-    r = _Reader(blob)
+    if len(blob) < _HEADER.size + _CRC.size:
+        raise CacheError("truncated cache blob")
+    body = memoryview(blob)[: -_CRC.size]
+    r = _Reader(body)
     magic, version, q_value, h, rank = _HEADER.unpack(r.take(_HEADER.size))
     if magic != _MAGIC:
         raise CacheError("bad magic")
     if version != _VERSION:
         raise CacheError(f"cache format version {version}, expected {_VERSION}")
+    if _CRC.unpack(blob[-_CRC.size :])[0] != zlib.crc32(body):
+        raise CacheError("checksum mismatch")
     if q_value >= 0 or h < 1:
         raise CacheError("implausible header")
     q = classify_discriminant(q_value)
@@ -106,20 +129,22 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
     dec = r.array("<i4", (rank, 2))
     coords = r.array("<i4", (h, rank)).astype(np.int64)
     (n_limit,) = struct.unpack("<q", r.take(8))
-    table = None
+    w = r.array("<i8", (h, n_limit + 1)) if n_limit else None
+    if r.pos != len(body):
+        raise CacheError("cache blob length does not match its header")
+    _check_latin_square(comp)
     classes = tuple(QuadForm(*map(int, row)) for row in forms_arr)
     if any(f.disc != q_value or not f.is_reduced for f in classes):
         raise CacheError("cached forms do not match the discriminant")
     group = FormClassGroup(q, classes)
     group.__dict__["composition"] = comp
-    group.__dict__["orders"] = tuple(int(o) for o in orders)
+    if group.orders != tuple(orders.tolist()):
+        raise CacheError("stored orders disagree with the composition table")
     group.__dict__["cyclic_decomposition"] = tuple(
         (int(g), int(d)) for g, d in dec
     )
     group.__dict__["coords"] = coords
-    if n_limit:
-        w = r.array("<i8", (h, n_limit + 1)).astype(np.int64)
-        table = WTable(q, int(n_limit), w)
+    table = WTable(q, int(n_limit), w.astype(np.int64)) if n_limit else None
     return group, table
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import Discriminant, kronecker
+from .arith import Discriminant, kronecker, kronecker_table
 from .forms import FormClassGroup, classes_representing, value_counts
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "lambda_table",
     "lambda_table_int",
     "kronecker_factorize",
+    "kronecker_convolution",
 ]
 
 
@@ -134,7 +135,13 @@ def build_w_table(
         raise ValueError("N must be positive")
     if method == "lattice":
         units = w_units(group.q)
-        mat = np.vstack([value_counts(f, N) for f in group.classes])
+        # (a, b, c) and (a, -b, c) have the same counts (x -> -x), so one
+        # row serves each pair of inverse classes
+        mat = np.zeros((group.h, N + 1), dtype=np.int64)
+        for i, f in enumerate(group.classes):
+            inv = group.inverse(i)
+            if inv >= i:
+                mat[i] = mat[inv] = value_counts(f, N)
         if (mat % units).any():
             raise IdentityViolation("representation counts not divisible by unit count")
         w = mat // units
@@ -239,6 +246,7 @@ def kronecker_factorize(
         return (1, q)
     limit = min(table.N, 1000) if check_limit is None else min(check_limit, table.N)
     lam = lambda_table_int(chi, table)[: limit + 1]
+    pairs = arith.DirichletPairs(limit)
     for a in arith.divisors(-q):
         if a == 1 or a == -q:
             continue
@@ -248,7 +256,7 @@ def kronecker_factorize(
                 continue
             if not arith.is_fundamental_discriminant(d2):
                 continue
-            conv = _convolution(d1, d2, limit)
+            conv = kronecker_convolution(d1, d2, pairs)
             if np.array_equal(conv[1:], lam[1:]):
                 return (d1, d2) if abs(d1) <= abs(d2) else (d2, d1)
     raise IdentityViolation(
@@ -256,12 +264,6 @@ def kronecker_factorize(
     )
 
 
-def _convolution(d1: int, d2: int, limit: int) -> np.ndarray:
-    """(d1/.) * (d2/.) Dirichlet convolution up to limit, exact integers."""
-    t1 = np.array([kronecker(d1, k) for k in range(limit + 1)], dtype=np.int64)
-    t2 = np.array([kronecker(d2, k) for k in range(limit + 1)], dtype=np.int64)
-    conv = np.zeros(limit + 1, dtype=np.int64)
-    for k in range(1, limit + 1):
-        if t1[k]:
-            conv[k :: k] += t1[k] * t2[1 : limit // k + 1]
-    return conv
+def kronecker_convolution(d1: int, d2: int, pairs: arith.DirichletPairs) -> np.ndarray:
+    """(d1/.) * (d2/.) Dirichlet convolution for n = 0..pairs.L, exact integers."""
+    return pairs.convolve(kronecker_table(d1, pairs.L), kronecker_table(d2, pairs.L))

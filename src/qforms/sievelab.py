@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import kronecker
+from .arith import kronecker_table
 from .characters import (
     build_w_table,
     characters,
+    kronecker_convolution,
     kronecker_factorize,
     lambda_table,
     lambda_table_int,
@@ -195,36 +196,33 @@ def hecke_check(Q: float, mn_limit: int, tol: float = 1e-9) -> list[HeckeViolati
     """Verify lambda(m) lambda(n) = sum_{d | gcd(m,n)} (q/d) lambda(mn/d^2)
     for every character of every scan q with |q| <= Q and all m n <= mn_limit.
 
-    Returns the violations beyond tol; empty on success.
+    Returns the violations beyond tol, ordered by q, m, character, n;
+    empty on success.
     """
     out = []
+    pairs = arith.DirichletPairs(mn_limit)
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
         table = build_w_table(group, mn_limit)
         chars = characters(group)
         lam = np.vstack([lambda_table(chi, table) for chi in chars])
-        for m in range(1, mn_limit + 1):
-            kmax = mn_limit // m
-            lhs = lam[:, m][:, None] * lam[:, 1 : kmax + 1]
-            rhs = np.zeros_like(lhs)
-            for d in arith.divisors(m):
-                chi_q_d = kronecker(q.q, d)
-                if chi_q_d == 0:
-                    continue
-                cols = (m // d) * np.arange(1, kmax // d + 1)
-                rhs[:, d - 1 :: d] = rhs[:, d - 1 :: d] + chi_q_d * lam[:, cols]
-            bad = np.abs(lhs - rhs) > tol
-            if bad.any():
-                for ci, nj in zip(*np.nonzero(bad)):
-                    out.append(
-                        HeckeViolation(
-                            q.q,
-                            chars[ci].exponents,
-                            m,
-                            int(nj) + 1,
-                            float(np.abs(lhs - rhs)[ci, nj]),
-                        )
+        chi_q = kronecker_table(q.q, math.isqrt(mn_limit))
+        for blk in pairs.blocks():
+            starts, d, v = blk.triples
+            weight = chi_q[d]
+            err = np.empty((len(chars), blk.k.size))
+            for ci, row in enumerate(lam):  # one row at a time bounds memory
+                diff = row[blk.k] * row[blk.j]
+                diff -= np.add.reduceat(row[v] * weight, starts)
+                err[ci] = np.abs(diff)
+            ci, idx = np.nonzero(err > tol)
+            m, n = blk.k[idx], blk.j[idx]
+            for i in np.lexsort((n, ci, m)):
+                out.append(
+                    HeckeViolation(
+                        q.q, chars[ci[i]].exponents, int(m[i]), int(n[i]), float(err[ci[i], idx[i]])
                     )
+                )
     return out
 
 
@@ -233,6 +231,7 @@ def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
     Dirichlet convolution of the Kronecker symbols of its factorization,
     for n <= N and every scan q with |q| <= Q."""
     out = []
+    pairs = arith.DirichletPairs(N)
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
         table = build_w_table(group, N)
@@ -240,12 +239,7 @@ def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
             if not chi.is_real:
                 continue
             d1, d2 = kronecker_factorize(chi, table)
-            t1 = np.array([kronecker(d1, k) for k in range(N + 1)], dtype=np.int64)
-            t2 = np.array([kronecker(d2, k) for k in range(N + 1)], dtype=np.int64)
-            conv = np.zeros(N + 1, dtype=np.int64)
-            for k in range(1, N + 1):
-                if t1[k]:
-                    conv[k::k] += t1[k] * t2[1 : N // k + 1]
+            conv = kronecker_convolution(d1, d2, pairs)
             lam = lambda_table_int(chi, table)
             for n in np.nonzero(conv[1:] != lam[1:])[0]:
                 out.append(

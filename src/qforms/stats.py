@@ -391,7 +391,8 @@ def average_identity_gap(
     lhs -= sum(1 for p, _ in arith.factorize(-q) if p <= X)
     ps = sieve.primes
     ps = ps[: np.searchsorted(ps, int(X), side="right")]
-    rhs = int(sum(1 + kronecker(q, int(p)) for p in ps))
+    chi_q = arith.kronecker_table(q, -q - 1)  # (q/p) has period |q|
+    rhs = ps.size + int(chi_q[ps % -q].sum())
     return lhs, rhs
 
 

@@ -116,6 +116,25 @@ def test_dual_oracle_w_tables():
         assert np.array_equal(lattice.w, mult.w), q.q
 
 
+def test_lattice_w_table_counts_each_inverse_pair_once(monkeypatch):
+    from qforms import characters as characters_module
+
+    calls = []
+    real = characters_module.value_counts
+
+    def counting(f, limit):
+        calls.append((f.a, f.b, f.c))
+        return real(f, limit)
+
+    monkeypatch.setattr(characters_module, "value_counts", counting)
+    for q in (-23, -39, -84, -260):  # cyclic, and with ambiguous classes
+        group = class_group(q)
+        calls.clear()
+        build_w_table(group, 50)
+        pairs = {frozenset((i, group.inverse(i))) for i in range(group.h)}
+        assert len(calls) == len(pairs) == len({(a, abs(b), c) for a, b, c in calls}), q
+
+
 def test_lambda_examples():
     g23 = class_group(-23)
     t23 = build_w_table(g23, 50)

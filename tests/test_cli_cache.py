@@ -3,6 +3,7 @@ import json
 import os
 import sys
 import threading
+import zlib
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -12,7 +13,7 @@ from qforms import cache
 from qforms.arith import classify_discriminant
 from qforms.characters import build_w_table
 from qforms.cli import main
-from qforms.forms import class_group
+from qforms.forms import FormClassGroup, class_group
 
 
 # ---------------------------------------------------------------------------
@@ -53,6 +54,65 @@ def test_cache_rejects_corruption(tmp_path):
         cache.load_entry(path)
     path.write_bytes(blob[:20])
     with pytest.raises(cache.CacheError):
+        cache.load_entry(path)
+
+
+@pytest.mark.parametrize("corruption", ["composition bit", "w-table bit", "trailing bytes"])
+def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
+    q = classify_discriminant(-39)  # h = 4
+    group = class_group(q)
+    table = build_w_table(group, 200)
+    path = cache.cache_path(tmp_path, q)
+    cache.save_entry(path, group, table)
+    blob = bytearray(path.read_bytes())
+    comp_at = cache._HEADER.size + 8 * 3 * group.h  # after the header and the forms
+    w_at = len(blob) - 4 - 8 * group.h * 201  # the w-table ends at the 4-byte CRC
+    if corruption == "composition bit":
+        blob[comp_at + 4] ^= 1  # composition[0, 1]
+    elif corruption == "w-table bit":
+        blob[w_at + 8 * (201 + 97)] ^= 1  # w[1, 97]
+    else:
+        blob += b"\0" * 8
+    path.write_bytes(bytes(blob))
+    with pytest.raises(cache.CacheError):
+        cache.load_entry(path)
+    warnings = []
+    loaded, loaded_table = cache.load_or_build(
+        q, tmp_path, n_limit=200, persist=True, warn=warnings.append
+    )
+    assert len(warnings) == 1 and "rebuilt" in warnings[0]
+    assert np.array_equal(loaded.composition, group.composition)
+    assert np.array_equal(loaded_table.w, table.w)
+    cache.load_entry(path)  # the rebuilt blob is sound again
+
+
+def test_structure_checks_behind_the_checksum(tmp_path):
+    # blobs written with a valid checksum around an inconsistent group table
+    q = classify_discriminant(-39)
+    path = cache.cache_path(tmp_path, q)
+    group = class_group(q)
+
+    def variant(**tables):
+        out = FormClassGroup(q, group.classes)
+        for name in ("composition", "orders", "cyclic_decomposition", "coords"):
+            out.__dict__[name] = tables.get(name, getattr(group, name))
+        return out
+
+    not_latin = group.composition.copy()
+    not_latin[0, [1, 2]] = not_latin[0, [2, 1]]
+    latin_without_identity_row = group.composition[[1, 0, 2, 3]]
+    for comp in (not_latin, latin_without_identity_row):
+        cache.save_entry(path, variant(composition=comp))
+        with pytest.raises(cache.CacheError, match="not a group table"):
+            cache.load_entry(path)
+    assert group.orders == (1, 4, 4, 2)
+    cache.save_entry(path, variant(orders=(1, 2, 4, 4)))
+    with pytest.raises(cache.CacheError, match="orders"):
+        cache.load_entry(path)
+    cache.save_entry(path, group)
+    body = path.read_bytes()[:-4] + bytes(8)
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    with pytest.raises(cache.CacheError, match="length"):
         cache.load_entry(path)
 
 

@@ -1,10 +1,20 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qforms import sievelab
-from qforms.characters import build_w_table, characters, lambda_chi
+from qforms.arith import divisors, fundamental_discriminants, kronecker
+from qforms.characters import (
+    build_w_table,
+    characters,
+    kronecker_factorize,
+    lambda_chi,
+    lambda_table,
+    lambda_table_int,
+)
 from qforms.forms import class_group
 from qforms.sievelab import (
     PRESETS,
@@ -106,12 +116,129 @@ def test_hecke_check_clean_small():
     assert hecke_check(60, 400) == []
 
 
-def test_hecke_check_detects_corruption():
-    # sanity that the checker can fail: perturb one lambda by hand
-    violations = hecke_check(23, 20, tol=1e-9)
-    assert violations == []
-    # a fake tolerance of -1 flags everything nonzero
-    assert len(hecke_check(23, 20, tol=-1.0)) > 0
+# ---------------------------------------------------------------------------
+# slow-path references: the identity checks as loops over m and k with
+# scalar Kronecker symbols, as they were before the Dirichlet pair index
+
+
+def _hecke_reference(Q, mn_limit, tol):
+    out = []
+    for q in fundamental_discriminants(Q):
+        group = class_group(q)
+        table = sievelab.build_w_table(group, mn_limit)
+        chars = characters(group)
+        lam = np.vstack([lambda_table(chi, table) for chi in chars])
+        for m in range(1, mn_limit + 1):
+            kmax = mn_limit // m
+            lhs = lam[:, m][:, None] * lam[:, 1 : kmax + 1]
+            rhs = np.zeros_like(lhs)
+            for d in divisors(m):
+                chi_q_d = kronecker(q.q, d)
+                if chi_q_d == 0:
+                    continue
+                cols = (m // d) * np.arange(1, kmax // d + 1)
+                rhs[:, d - 1 :: d] = rhs[:, d - 1 :: d] + chi_q_d * lam[:, cols]
+            err = np.abs(lhs - rhs)
+            for ci, nj in zip(*np.nonzero(err > tol)):
+                out.append((q.q, chars[ci].exponents, m, int(nj) + 1, float(err[ci, nj])))
+    return out
+
+
+def _convolution_reference(Q, N):
+    out = []
+    for q in fundamental_discriminants(Q):
+        group = class_group(q)
+        table = sievelab.build_w_table(group, N)
+        for chi in characters(group):
+            if not chi.is_real:
+                continue
+            d1, d2 = kronecker_factorize(chi, table)
+            t1 = np.array([kronecker(d1, k) for k in range(N + 1)], dtype=np.int64)
+            t2 = np.array([kronecker(d2, k) for k in range(N + 1)], dtype=np.int64)
+            conv = np.zeros(N + 1, dtype=np.int64)
+            for k in range(1, N + 1):
+                if t1[k]:
+                    conv[k::k] += t1[k] * t2[1 : N // k + 1]
+            lam = lambda_table_int(chi, table)
+            for n in np.nonzero(conv[1:] != lam[1:])[0]:
+                out.append((q.q, chi.exponents, int(n) + 1, int(lam[n + 1]), int(conv[n + 1])))
+    return out
+
+
+def _hecke_tuples(violations):
+    return [(v.q, v.character, v.m, v.n, v.error) for v in violations]
+
+
+def _assert_same_hecke(fast, reference):
+    assert [v[:4] for v in fast] == [v[:4] for v in reference]
+    # the right-hand side is summed in another association, so the error
+    # may differ in the last bits of a double
+    assert np.allclose([v[4] for v in fast], [v[4] for v in reference], rtol=0, atol=1e-12)
+
+
+FAULT_Q, FAULT_N0 = -39, 1008  # h = 4 (cyclic): two real and two complex characters
+
+
+@pytest.fixture
+def planted_fault(monkeypatch):
+    """Flip one weight w[C, n0] of one q, beyond the range (n <= 1000)
+    kronecker_factorize verifies, so the factorization itself still holds."""
+    real = sievelab.build_w_table
+
+    def faulty(group, N, *args, **kwargs):
+        table = real(group, N, *args, **kwargs)
+        if int(group.q) == FAULT_Q:
+            table.w[1, FAULT_N0] ^= 1
+        return table
+
+    monkeypatch.setattr(sievelab, "build_w_table", faulty)
+
+
+def test_hecke_check_flags_everything_at_negative_tolerance():
+    fast = _hecke_tuples(hecke_check(60, 200, tol=-1.0))
+    reference = _hecke_reference(60, 200, tol=-1.0)
+    # every (q, character, m, n) with m n <= 200, in order q, m, character, n
+    assert len(fast) == sum(
+        class_group(q).h * sum(200 // m for m in range(1, 201))
+        for q in fundamental_discriminants(60)
+    )
+    _assert_same_hecke(fast, reference)
+
+
+def test_hecke_check_catches_planted_fault(planted_fault):
+    violations = hecke_check(60, 1200)
+    assert violations
+    for v in violations:
+        assert v.q == FAULT_Q
+        gcd = math.gcd(v.m, v.n)
+        involved = {v.m, v.n} | {v.m * v.n // (d * d) for d in range(1, gcd + 1) if gcd % d == 0}
+        assert FAULT_N0 in involved, v
+    _assert_same_hecke(_hecke_tuples(violations), _hecke_reference(60, 1200, tol=1e-9))
+
+
+def test_convolution_check_catches_planted_fault(planted_fault):
+    violations = convolution_check(60, 1200)
+    real_chars = [c for c in characters(class_group(FAULT_Q)) if c.is_real]
+    assert [(v.q, v.character, v.n) for v in violations] == [
+        (FAULT_Q, c.exponents, FAULT_N0) for c in real_chars
+    ]
+    assert [(v.q, v.character, v.n, v.lam, v.conv) for v in violations] == (
+        _convolution_reference(60, 1200)
+    )
+
+
+def test_identity_checks_bounded_memory():
+    for check, args, bound_mb in (
+        (convolution_check, (20, 200_000), 32),
+        (hecke_check, (20, 20_000), 16),
+    ):
+        tracemalloc.start()
+        try:
+            assert check(*args) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 10**6, (check.__name__, peak)
 
 
 def test_convolution_check_clean_small():
