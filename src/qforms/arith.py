@@ -14,7 +14,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -357,11 +357,13 @@ def prime_flags(limit: int) -> np.ndarray:
     return flags
 
 
+@lru_cache(maxsize=8)
 def prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Prime powers n = p^e <= limit with log p, both sorted by n.
 
     This is the support of the von Mangoldt function, so
     sum-over-prime-powers loops can run over these arrays directly.
+    Memoised per limit: every caller shares one read-only pair of arrays.
     """
     ps = _small_primes(limit)
     ns: list[int] = []
@@ -376,7 +378,10 @@ def prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     n_arr = np.asarray(ns, dtype=np.int64)
     l_arr = np.asarray(logs, dtype=np.float64)
     order = np.argsort(n_arr, kind="stable")
-    return n_arr[order], l_arr[order]
+    n_arr, l_arr = n_arr[order], l_arr[order]
+    n_arr.flags.writeable = False
+    l_arr.flags.writeable = False
+    return n_arr, l_arr
 
 
 @dataclass(eq=False)

@@ -209,6 +209,9 @@ def class_number(abs_q: int) -> int:
     return count
 
 
+_NOT_A_GROUP = "composition table is not a group table"
+
+
 class FormClassGroup:
     """The class group of a fundamental negative discriminant.
 
@@ -271,10 +274,13 @@ class FormClassGroup:
     @cached_property
     def orders(self) -> tuple[int, ...]:
         table = self.composition
+        h = self.h
         out = []
-        for i in range(self.h):
+        for i in range(h):
             k, o = i, 1
             while k != 0:
+                if o == h:
+                    raise ArithmeticError(_NOT_A_GROUP)
                 k = int(table[k, i])
                 o += 1
             out.append(o)
@@ -326,10 +332,17 @@ def _abelian_decomposition(elems, mul, ident):
     """
     if len(elems) == 1:
         return []
+    # a table that is not a group table raises instead of looping: orders
+    # are bounded by the group order, and the quotient must shrink by dmax
+    n = len(elems)
+    if any(mul(ident, x) != x or mul(x, ident) != x for x in elems):
+        raise ArithmeticError(_NOT_A_GROUP)
 
     def order_of(x):
         k, o = x, 1
         while k != ident:
+            if o == n:
+                raise ArithmeticError(_NOT_A_GROUP)
             k = mul(k, x)
             o += 1
         return o
@@ -351,6 +364,8 @@ def _abelian_decomposition(elems, mul, ident):
         for y in coset:
             rep[y] = r
     qelems = sorted(set(rep.values()))
+    if len(qelems) * dmax != n:
+        raise ArithmeticError(_NOT_A_GROUP)
     sub = _abelian_decomposition(qelems, lambda x, y: rep[mul(x, y)], rep[ident])
     lifted = []
     for qg, qd in sub:

@@ -169,6 +169,12 @@ def psi_k_chi(Y: float, chi: ClassCharacter, k: int, table: WTable) -> complex:
     return complex(terms.sum()) / math.factorial(k)
 
 
+# grid columns per chunk of discrepancy_E_k for k >= 1: P * columns stays
+# near 2^18 terms, so a chunk's two float64 arrays and its mask take about
+# 4.5 MB and memory is O(h P + 2^18) at any X
+_GRID_CHUNK_TERMS = 1 << 18
+
+
 def discrepancy_E_k(
     X: float,
     group: FormClassGroup,
@@ -178,31 +184,48 @@ def discrepancy_E_k(
 ) -> float:
     """max over classes and over Y <= X of |psi_k(Y;q,C) - class average|.
 
-    The Y maximum runs over a uniform grid of y_grid_count points; for k = 0
-    the summand is a step function, so all jump points (prime powers up to X)
-    are added to the grid and the maximum is exact.  Identically zero when
-    h(q) = 1.
+    For k = 0 the summand is a step function that jumps only at prime
+    powers, so the maximum is exact: one prefix sum over the jumps up to X,
+    and cfg.y_grid_count plays no part.  For k >= 1 the Y maximum runs over
+    a uniform grid of y_grid_count points, evaluated in chunks of grid
+    columns, each one (h x P) @ (P x columns) product of the masked terms
+    log p * log(Y/n)^k * [n <= Y].  Identically zero when h(q) = 1.
     """
     if X > table.N:
         raise ValueError("X beyond table limit")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     if group.h == 1:
         return 0.0
-    ns, logs = arith.prime_power_table(int(min(X, table.N)))
+    ns, logs = arith.prime_power_table(int(X))
+    if ns.size == 0:
+        return 0.0
+    if k == 0:
+        s = table.w[:, ns] * logs
+        np.cumsum(s, axis=1, out=s)
+        s -= s.mean(axis=0)
+        return float(np.abs(s, out=s).max())
     wsub = table.w[:, ns].astype(np.float64)
     grid = X * np.arange(1, cfg.y_grid_count + 1) / cfg.y_grid_count
-    if k == 0:
-        grid = np.union1d(grid, ns[ns <= X].astype(np.float64))
     kfact = math.factorial(k)
+    step = max(1, _GRID_CHUNK_TERMS // ns.size)
     best = 0.0
-    for y in grid:
-        if y < 2:
-            continue
-        m = int(np.searchsorted(ns, y, side="right"))
-        t = logs[:m] * np.log(y / ns[:m]) ** k
+    for lo in range(0, grid.size, step):
+        ys = grid[lo : lo + step]
+        # terms with n > Y are masked: rows past the chunk's last Y are
+        # skipped, and a column with Y < 2 stays zero
+        m = int(np.searchsorted(ns, ys[-1], side="right"))
+        n_col = ns[:m, None]
+        log_ratio = ys / n_col
+        np.log(log_ratio, out=log_ratio)
+        # repeated products: np.power calls libm pow per term, several times slower
+        t = logs[:m, None] * log_ratio
+        for _ in range(k - 1):
+            t *= log_ratio
+        t *= n_col <= ys
         vals = wsub[:, :m] @ t / kfact
-        dev = float(np.abs(vals - vals.mean()).max())
-        if dev > best:
-            best = dev
+        vals -= vals.mean(axis=0)
+        best = max(best, float(np.abs(vals, out=vals).max()))
     return best
 
 

@@ -271,6 +271,15 @@ def test_prime_power_table(sieve_10k):
         assert lg == pytest.approx(math.log(p), abs=0)
 
 
+def test_prime_power_table_is_shared_and_read_only():
+    ns, logs = prime_power_table(500)
+    assert prime_power_table(500)[0] is ns
+    for arr in (ns, logs):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0
+    assert ns[0] == 2 and logs[0] == math.log(2)
+
+
 def test_divisors_and_factorize():
     assert arith.divisors(1) == [1]
     assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 import tracemalloc
 from collections import deque
 
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from qforms import arith, forms
 from qforms.arith import fundamental_discriminants, kronecker
 from qforms.forms import (
+    FormClassGroup,
     QuadForm,
     class_group,
     class_number,
@@ -187,6 +190,46 @@ def test_cyclic_decomposition_structure():
         assert all(orders[i + 1] % orders[i] == 0 for i in range(len(orders) - 1))
         coords = g.coords  # raises internally if exponent vectors collide
         assert coords.shape == (g.h, len(dec))
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    # a loop that never ends fails the test instead of hanging the suite
+    def fire(_signum, _frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, fire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_non_group_tables_raise_instead_of_looping():
+    g39, g84 = class_group(-39), class_group(-84)
+    assert g39.orders == (1, 4, 4, 2) and g84.orders == (1, 2, 2, 2)
+    cases = []
+    for group in (g39, g84):
+        # two entries of row 0 swapped: for -84 the powers of class 1, started
+        # from 0 * 1 = 2, cycle through 2 and 3 without reaching 0
+        swapped = group.composition.copy()
+        swapped[0, [1, 2]] = swapped[0, [2, 1]]
+        cases.append((group, swapped, "cyclic_decomposition"))
+    # 1 * 1 = 1: the powers of class 1 never reach the identity
+    stuck = g39.composition.copy()
+    stuck[1, 1] = 1
+    cases += [(g39, stuck, "orders"), (g39, stuck, "cyclic_decomposition")]
+    # 2 * 1 = 2 and 3 * 1 = 3: the cosets of {0, 1} overlap
+    overlap = g84.composition.copy()
+    overlap[[2, 3], 1] = [2, 3]
+    cases.append((g84, overlap, "cyclic_decomposition"))
+    for group, comp, attr in cases:
+        corrupt = FormClassGroup(group.q, group.classes)
+        corrupt.__dict__["composition"] = comp
+        with _deadline(10), pytest.raises(ArithmeticError, match="not a group table"):
+            getattr(corrupt, attr)
 
 
 def test_compose_forms_requires_matching_discriminant():

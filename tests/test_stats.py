@@ -1,5 +1,8 @@
+import functools
 import json
 import math
+import tracemalloc
+import unittest.mock
 
 import mpmath
 import numpy as np
@@ -186,6 +189,112 @@ def test_discrepancy_k0_jump_points_dominate_grid():
     coarse = discrepancy_E_k(1500, group, 0, table, StatConfig(y_grid_count=4))
     fine = discrepancy_E_k(1500, group, 0, table, StatConfig(y_grid_count=512))
     assert coarse == pytest.approx(fine, rel=1e-12)
+
+
+def _E_k_per_y(X, group, k, table, cfg=StatConfig()):
+    """Slow-path reference: the per-Y loop discrepancy_E_k replaced."""
+    if X > table.N:
+        raise ValueError("X beyond table limit")
+    if group.h == 1:
+        return 0.0
+    ns, logs = arith.prime_power_table(int(min(X, table.N)))
+    wsub = table.w[:, ns].astype(np.float64)
+    grid = X * np.arange(1, cfg.y_grid_count + 1) / cfg.y_grid_count
+    if k == 0:
+        grid = np.union1d(grid, ns[ns <= X].astype(np.float64))
+    kfact = math.factorial(k)
+    best = 0.0
+    for y in grid:
+        if y < 2:
+            continue
+        m = int(np.searchsorted(ns, y, side="right"))
+        t = logs[:m] * np.log(y / ns[:m]) ** k
+        vals = wsub[:, :m] @ t / kfact
+        best = max(best, float(np.abs(vals - vals.mean()).max()))
+    return best
+
+
+_E_K_N = 2000
+_E_K_FAMILY = [
+    q.q for q in fundamental_discriminants(300) if class_group(q).h > 1
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _group_and_table(q, N=_E_K_N):
+    group = class_group(q)
+    return group, build_w_table(group, N)
+
+
+@given(
+    st.sampled_from(_E_K_FAMILY),
+    st.sampled_from((0, 1, 2, 3)),
+    st.sampled_from((1, 4, 64, 2000)),
+    st.floats(min_value=0.0, max_value=_E_K_N),
+    st.sampled_from((None, 1, 2, 4)),
+)
+def test_discrepancy_matches_per_y_loop(q, k, grid_count, X, chunk_columns):
+    group, table = _group_and_table(q)
+    cfg = StatConfig(y_grid_count=grid_count)
+    chunk_terms = stats._GRID_CHUNK_TERMS
+    if chunk_columns is not None:
+        # grid chunks of a few columns, so every chunk boundary is crossed
+        chunk_terms = chunk_columns * arith.prime_power_table(int(X))[0].size
+    with unittest.mock.patch.object(stats, "_GRID_CHUNK_TERMS", chunk_terms):
+        got = discrepancy_E_k(X, group, k, table, cfg)
+    assert got == pytest.approx(_E_k_per_y(X, group, k, table, cfg), rel=1e-12)
+
+
+def test_discrepancy_edge_cases_match_per_y_loop():
+    group, table = _group_and_table(-47)
+    for X in (0, 1, 1.5):
+        for k in (0, 1, 2):
+            assert discrepancy_E_k(X, group, k, table) == 0.0
+            assert _E_k_per_y(X, group, k, table) == 0.0
+    for X in (1500.5, 2.0, 2.5, 1000, _E_K_N):
+        for k in (0, 1, 3):
+            want = _E_k_per_y(X, group, k, table)
+            assert discrepancy_E_k(X, group, k, table) == pytest.approx(want, rel=1e-12)
+    with pytest.raises(ValueError, match="nonnegative"):
+        discrepancy_E_k(1000, group, -1, table)
+    with pytest.raises(ValueError, match="table limit"):
+        discrepancy_E_k(_E_K_N + 0.5, group, 0, table)
+
+
+def test_discrepancy_k0_maximum_on_last_prime_power():
+    # X is a prime power at which |psi_0 - class average| sets a strict
+    # record, so a prefix sum that stops one jump early must fail
+    group, table = _group_and_table(-71)
+    ns, logs = arith.prime_power_table(_E_K_N)
+    record, last_record = 0.0, None
+    pairs = list(zip(ns.tolist(), logs.tolist()))
+    for j in range(ns.size):
+        vals = [
+            math.fsum(lg * table.w[c, n] for n, lg in pairs[: j + 1])
+            for c in range(group.h)
+        ]
+        mean = math.fsum(vals) / group.h
+        dev = max(abs(v - mean) for v in vals)
+        if dev > record * (1 + 1e-9):
+            record, last_record = dev, int(ns[j])
+    assert last_record is not None
+    got = discrepancy_E_k(last_record, group, 0, table)
+    assert got == pytest.approx(record, rel=1e-12)
+    before = discrepancy_E_k(last_record - 0.5, group, 0, table)
+    assert before < record * (1 - 1e-9)
+
+
+def test_discrepancy_memory_is_chunked():
+    group = class_group(-71)
+    table = build_w_table(group, 200_000)
+    P = arith.prime_power_table(200_000)[0].size
+    tracemalloc.start()
+    try:
+        discrepancy_E_k(2e5, group, 1, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * group.h * P * 8 + 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
