@@ -278,28 +278,17 @@ class Discriminant:
 def classify_discriminant(d: int) -> Discriminant:
     """Classify a negative integer d as a discriminant.
 
-    d is in the scan family iff d = 1 mod 4 and squarefree, or d = 0 mod 4
-    with d/4 = 3 mod 4 squarefree; either condition forces d != 0 mod 8.
-    Fundamental discriminants divisible by 8 are flagged separately.
+    A fundamental d is in the scan family unless 8 | d; those are flagged
+    separately (valid for class groups, excluded from scans).
     """
     if d >= 0:
         raise ValueError("classify_discriminant expects a negative integer")
-    if d % 4 == 1:
-        kind = (
-            DiscriminantKind.FUNDAMENTAL
-            if is_squarefree(-d)
-            else DiscriminantKind.NOT_FUNDAMENTAL
-        )
-    elif d % 4 == 0:
-        m = d // 4
-        if m % 4 == 3 and is_squarefree(-m):
-            kind = DiscriminantKind.FUNDAMENTAL
-        elif m % 4 == 2 and is_squarefree(-m):
-            kind = DiscriminantKind.FUNDAMENTAL_MOD8
-        else:
-            kind = DiscriminantKind.NOT_FUNDAMENTAL
-    else:
+    if not is_fundamental_discriminant(d):
         kind = DiscriminantKind.NOT_FUNDAMENTAL
+    elif d % 8 == 0:
+        kind = DiscriminantKind.FUNDAMENTAL_MOD8
+    else:
+        kind = DiscriminantKind.FUNDAMENTAL
     return Discriminant(d, kind)
 
 
@@ -333,20 +322,8 @@ def fundamental_discriminants(limit: float) -> list[Discriminant]:
 # sieve
 
 
-def _small_primes(limit: int) -> np.ndarray:
-    """Dense sieve of Eratosthenes; primes up to limit as an int64 array."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def prime_flags(limit: int) -> np.ndarray:
-    """Boolean primality table for 0..limit."""
+    """Boolean primality table for 0..limit, by a dense sieve of Eratosthenes."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
     flags = np.ones(limit + 1, dtype=bool)
@@ -355,6 +332,11 @@ def prime_flags(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p :: p] = False
     return flags
+
+
+def _small_primes(limit: int) -> np.ndarray:
+    """Primes up to limit as an int64 array; empty for any limit < 2."""
+    return np.flatnonzero(prime_flags(max(limit, 0))).astype(np.int64)
 
 
 @lru_cache(maxsize=8)
@@ -395,17 +377,7 @@ class SieveTables:
 
     limit: int
     spf: np.ndarray
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        out = []
-        chunk = 1 << 22
-        for lo in range(2, self.limit + 1, chunk):
-            hi = min(self.limit + 1, lo + chunk)
-            seg = self.spf[lo:hi]
-            idx = np.flatnonzero(seg == np.arange(lo, hi, dtype=seg.dtype))
-            out.append((idx + lo).astype(np.int64))
-        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+    primes: np.ndarray  # every prime <= limit, ascending, int64
 
     def is_prime(self, n: int) -> bool:
         self._check(n)
@@ -459,21 +431,24 @@ class SieveTables:
             raise ValueError(f"n={n} outside sieve range 1..{self.limit}")
 
 
-def build_sieve(limit: int, segment_length: int = 1 << 20) -> SieveTables:
+_SEGMENT = 1 << 20  # sieve entries per marking segment of build_sieve
+
+
+def build_sieve(limit: int) -> SieveTables:
     """Build SieveTables up to limit with a segmented marking pass.
 
     Segments keep the marking cache-local; the spf array itself is the
-    O(limit) output and is shared read-only afterwards.
+    O(limit) output and is shared read-only afterwards.  The least-prime
+    and x^2 + n y^2 searches use prime_flags instead: at MAX_X = 1e8 its
+    one byte per entry is about 100 MB, where spf's four would be 400 MB.
     """
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    if segment_length < 16:
-        raise ValueError("segment_length too small")
     dtype = np.int32 if limit < 2**31 else np.int64
     spf = np.zeros(limit + 1, dtype=dtype)
     base = _small_primes(math.isqrt(limit))
-    for lo in range(2, limit + 1, segment_length):
-        hi = min(limit + 1, lo + segment_length)
+    for lo in range(2, limit + 1, _SEGMENT):
+        hi = min(limit + 1, lo + _SEGMENT)
         for p in base.tolist():
             start = max(p * p, ((lo + p - 1) // p) * p)
             if start >= hi:
@@ -482,9 +457,11 @@ def build_sieve(limit: int, segment_length: int = 1 << 20) -> SieveTables:
             seg[seg == 0] = p
     # remaining unmarked entries >= 2 are prime
     chunk = 1 << 22
+    found = []
     for lo in range(2, limit + 1, chunk):
         hi = min(limit + 1, lo + chunk)
         seg = spf[lo:hi]
         idx = np.flatnonzero(seg == 0)
         seg[idx] = (idx + lo).astype(dtype)
-    return SieveTables(limit=limit, spf=spf)
+        found.append((idx + lo).astype(np.int64, copy=False))
+    return SieveTables(limit=limit, spf=spf, primes=np.concatenate(found))

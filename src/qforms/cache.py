@@ -21,7 +21,7 @@ from .arith import Discriminant, classify_discriminant
 from .characters import WTable, build_w_table
 from .forms import FormClassGroup, QuadForm, class_group
 
-__all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_or_build"]
+__all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_usable", "load_or_build"]
 
 _MAGIC = b"QFGC"
 _VERSION = 2
@@ -148,30 +148,44 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
     return group, table
 
 
+def load_usable(
+    path: Path, n_limit: int = 0, warn=None
+) -> tuple[FormClassGroup, WTable | None] | None:
+    """The blob at path if it loads and holds weights up to n_limit, else None.
+
+    n_limit = 0 asks for the group only.  A blob that exists but fails to
+    load is reported to `warn` (if given) as rebuilt, since every caller
+    rebuilds what this returns None for.
+    """
+    if not path.exists():
+        return None
+    try:
+        group, table = load_entry(path)
+    except CacheError as exc:
+        if warn:
+            warn(f"cache entry {path.name} rebuilt ({exc})")
+        return None
+    if n_limit == 0 or (table is not None and table.N >= n_limit):
+        return group, table
+    return None
+
+
 def load_or_build(
     q: Discriminant,
     cache_dir: str | Path | None,
     n_limit: int = 0,
-    persist: bool = False,
     warn=None,
 ) -> tuple[FormClassGroup, WTable | None]:
-    """Fetch (group, table) from cache if valid, else build (and optionally save).
+    """Fetch (group, table) from cache if usable, else build them in memory.
 
-    A corrupt or outdated blob is rebuilt; `warn` (if given) receives one
-    message per rebuild.
+    Nothing is written here: `qforms tabulate` is the cache's writer.  A
+    corrupt or outdated blob is rebuilt; `warn` (if given) receives one
+    message per corrupt blob.
     """
-    path = cache_path(cache_dir, q) if cache_dir is not None else None
-    if path is not None and path.exists():
-        try:
-            group, table = load_entry(path)
-            if n_limit == 0 or (table is not None and table.N >= n_limit):
-                return group, table
-        except CacheError as exc:
-            if warn:
-                warn(f"cache entry {path.name} rebuilt ({exc})")
+    if cache_dir is not None:
+        entry = load_usable(cache_path(cache_dir, q), n_limit, warn)
+        if entry is not None:
+            return entry
     group = class_group(q)
     table = build_w_table(group, n_limit) if n_limit else None
-    if persist and path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_entry(path, group, table)
     return group, table

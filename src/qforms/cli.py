@@ -15,7 +15,8 @@ from pathlib import Path
 
 from . import arith, cache, sievelab, stats
 from .arith import classify_discriminant, fundamental_discriminants
-from .characters import IdentityViolation, build_w_table, characters
+from .characters import IdentityViolation, build_w_table
+from .forms import class_group
 from .serialize import canonical_json, format_float
 from .stats import StatConfig
 
@@ -51,7 +52,7 @@ class RunConfig:
                 raise UsageError(f"{name}={value} exceeds cap {cap}")
         if getattr(a, "X", None) is not None and a.X < 2:
             raise UsageError("X must be at least 2")
-        for name in ("trials", "max_n", "n", "cap", "threads", "grid", "mn_limit"):
+        for name in ("trials", "max_n", "n", "cap", "threads", "mn_limit"):
             value = getattr(a, name, None)
             if value is not None and value <= 0:
                 raise UsageError(f"{name.replace('_', '-')} must be positive")
@@ -80,7 +81,6 @@ def _build_parser() -> _Parser:
         p.add_argument("-X", type=float, required=True)
         p.add_argument("--c3", type=float, default=20.0)
         p.add_argument("-A", type=float, default=2.0)
-        p.add_argument("--grid", type=int, default=64)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--cache", default=None)
@@ -189,7 +189,7 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_scan(args, statistic: str) -> int:
-    cfg = StatConfig(c3=args.c3, y_grid_count=args.grid, A=args.A)
+    cfg = StatConfig(c3=args.c3, A=args.A)
     sieve = arith.build_sieve(max(2, int(args.X)))
     cache_dir = _cache_dir(args)
 
@@ -324,17 +324,11 @@ def _cmd_tabulate(args) -> int:
     written = skipped = 0
     for q in fundamental_discriminants(args.Q):
         path = cache.cache_path(cache_dir, q)
-        if path.exists():
-            try:
-                _, table = cache.load_entry(path)
-                if n_limit == 0 or (table is not None and table.N >= n_limit):
-                    skipped += 1
-                    continue
-            except cache.CacheError as exc:
-                _warn(f"cache entry {path.name} rebuilt ({exc})")
-        group, _ = cache.load_or_build(q, None)
-        table = build_w_table(group, n_limit) if n_limit else None
-        cache.save_entry(path, group, table)
+        if cache.load_usable(path, n_limit, _warn) is not None:
+            skipped += 1
+            continue
+        group = class_group(q)
+        cache.save_entry(path, group, build_w_table(group, n_limit) if n_limit else None)
         written += 1
     _emit(args, f"tabulated {written} blob(s), reused {skipped}\n")
     return 0

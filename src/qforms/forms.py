@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -175,28 +176,8 @@ def compose_forms(f1: QuadForm, f2: QuadForm) -> QuadForm:
     return reduced
 
 
-def _reduced_forms(abs_q: int) -> list[QuadForm]:
-    """All reduced primitive forms of discriminant -abs_q, by (a, b) scan."""
-    out = []
-    for a in range(1, math.isqrt(abs_q // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            if (b * b + abs_q) % (4 * a):
-                continue
-            c = (b * b + abs_q) // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and a == c:
-                continue
-            if math.gcd(math.gcd(a, b), c) != 1:
-                continue
-            out.append(QuadForm(a, b, c))
-    out.sort(key=lambda f: (f.a, abs(f.b), f.b < 0))
-    return out
-
-
-def class_number(abs_q: int) -> int:
-    """h(-abs_q) by reduced-form counting, without building the group."""
-    count = 0
+def _reduced_triples(abs_q: int) -> Iterator[tuple[int, int, int]]:
+    """(a, b, c) of every reduced primitive form of discriminant -abs_q, by (a, b) scan."""
     for a in range(1, math.isqrt(abs_q // 3) + 1):
         for b in range(-a + 1, a + 1):
             if (b * b + abs_q) % (4 * a):
@@ -205,8 +186,12 @@ def class_number(abs_q: int) -> int:
             if c < a or (b < 0 and a == c):
                 continue
             if math.gcd(math.gcd(a, b), c) == 1:
-                count += 1
-    return count
+                yield a, b, c
+
+
+def class_number(abs_q: int) -> int:
+    """h(-abs_q) by reduced-form counting, without building the group."""
+    return sum(1 for _ in _reduced_triples(abs_q))
 
 
 _NOT_A_GROUP = "composition table is not a group table"
@@ -382,8 +367,8 @@ def class_group(q: Discriminant | int) -> FormClassGroup:
         q = classify_discriminant(q)
     if not q.is_fundamental:
         raise ValueError(f"{q.q} is not a fundamental discriminant")
-    forms = _reduced_forms(q.abs_q)
-    group = FormClassGroup(q, tuple(forms))
+    forms = sorted(_reduced_triples(q.abs_q), key=lambda t: (t[0], abs(t[1]), t[1] < 0))
+    group = FormClassGroup(q, tuple(QuadForm(*t) for t in forms))
     principal = (
         QuadForm(1, 0, q.abs_q // 4) if q.q % 4 == 0 else QuadForm(1, 1, (1 + q.abs_q) // 4)
     )

@@ -59,20 +59,18 @@ class StatConfig:
     """Analysis parameters for the scan statistics.
 
     c3 controls the exceptional-discriminant inequality
-    sqrt(|q|)/log|q| <= c3 * h(q); A and eps are reporting parameters that
-    only enter the normalization of aggregates.
+    sqrt(|q|)/log|q| <= c3 * h(q); A is a reporting parameter that only
+    enters the normalization of aggregates.  y_grid_count is the number of
+    Y grid points of discrepancy_E_k for k >= 1; the scans do not read it.
     """
 
     c3: float = 20.0
     y_grid_count: int = 64
     li_tol: float = 1e-10
     A: float = 2.0
-    eps: float = 0.1
 
     def __post_init__(self):
-        if self.c3 <= 0 or self.y_grid_count < 1 or self.li_tol <= 0:
-            raise ValueError("invalid StatConfig")
-        if self.A <= 0 or self.eps <= 0:
+        if self.c3 <= 0 or self.y_grid_count < 1 or self.li_tol <= 0 or self.A <= 0:
             raise ValueError("invalid StatConfig")
 
 
@@ -255,7 +253,6 @@ class DiscrepancyReport:
     statistic: str
     Q: float
     X: float
-    k: int | None
     c3: float
     A: float
     rows: list[QRecord] = field(default_factory=list)
@@ -269,7 +266,9 @@ class DiscrepancyReport:
                     "statistic": self.statistic,
                     "Q": self.Q,
                     "X": self.X,
-                    "k": self.k,
+                    # the scans evaluate no psi_k; k stays in the meta as
+                    # null so that existing JSON output keeps its bytes
+                    "k": None,
                     "c3": self.c3,
                     "A": self.A,
                 },
@@ -349,7 +348,6 @@ def _scan(
         statistic=statistic,
         Q=float(Q),
         X=float(X),
-        k=None,
         c3=cfg.c3,
         A=cfg.A,
         rows=rows,

@@ -163,7 +163,7 @@ def _squarefree_brute(n: int) -> bool:
 
 
 def test_classify_against_brute_filter():
-    for a in range(3, 501):
+    for a in range(1, 20001):
         d = -a
         got = classify_discriminant(d).kind
         in_family = (a % 4 == 3 and _squarefree_brute(a)) or (
@@ -255,13 +255,33 @@ def test_sieve_rejects_bad_input():
         s.factor(101)
 
 
-def test_segmentation_is_transparent():
+def test_segmentation_is_transparent(monkeypatch):
     a = build_sieve(100_000)
-    b = build_sieve(100_000, segment_length=1 << 12)
+    monkeypatch.setattr(arith, "_SEGMENT", 1 << 12)
+    b = build_sieve(100_000)
     assert np.array_equal(a.spf, b.spf)
+    assert np.array_equal(a.primes, b.primes)
+
+
+@pytest.mark.parametrize("segment", [16, 97, 1 << 10])
+def test_sieve_primes_match_prime_flags_at_segment_boundaries(monkeypatch, segment):
+    # the first segment starts at 2, so segment k ends just before 2 + k * segment
+    monkeypatch.setattr(arith, "_SEGMENT", segment)
+    for k in (1, 2, 5):
+        for n in (k * segment - 1, k * segment, k * segment + 1, k * segment + 2):
+            s = build_sieve(n)
+            assert s.primes.dtype == np.int64
+            assert np.array_equal(s.primes, np.flatnonzero(arith.prime_flags(n))), n
+            assert np.array_equal(s.spf[s.primes], s.primes)
 
 
 def test_prime_power_table(sieve_10k):
+    # reachable from discrepancy_E_k with int(X) < 2, negative X included
+    for limit in (-5, -1, 0, 1):
+        assert arith._small_primes(limit).size == 0
+        ns, logs = prime_power_table(limit)
+        assert ns.size == 0 and logs.size == 0
+    assert prime_power_table(2)[0].tolist() == [2]
     ns, logs = prime_power_table(1000)
     assert ns.tolist() == sorted(
         n for n in range(2, 1001) if sieve_10k.mangoldt_pair(n) is not None

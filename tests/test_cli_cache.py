@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qforms import cache
-from qforms.arith import classify_discriminant
+from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import build_w_table
 from qforms.cli import main
 from qforms.forms import FormClassGroup, class_group
@@ -77,13 +77,10 @@ def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
     with pytest.raises(cache.CacheError):
         cache.load_entry(path)
     warnings = []
-    loaded, loaded_table = cache.load_or_build(
-        q, tmp_path, n_limit=200, persist=True, warn=warnings.append
-    )
+    loaded, loaded_table = cache.load_or_build(q, tmp_path, n_limit=200, warn=warnings.append)
     assert len(warnings) == 1 and "rebuilt" in warnings[0]
     assert np.array_equal(loaded.composition, group.composition)
     assert np.array_equal(loaded_table.w, table.w)
-    cache.load_entry(path)  # the rebuilt blob is sound again
 
 
 def test_structure_checks_behind_the_checksum(tmp_path):
@@ -330,6 +327,38 @@ def test_tabulate_idempotent_and_transparent(tmp_path, capsys):
         capsys, "classgroup", "-q", "-47", "--format", "json", "--cache", cache_dir
     )
     assert cold == warm
+
+
+def test_tabulate_with_larger_N_rewrites_every_blob(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    family = fundamental_discriminants(60)
+    code, out, _ = run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
+    assert code == 0 and out == f"tabulated {len(family)} blob(s), reused 0\n"
+    code, out, err = run_cli(capsys, "tabulate", "-Q", "60", "-N", "200", "--cache", str(cache_dir))
+    assert code == 0 and err == ""
+    assert out == f"tabulated {len(family)} blob(s), reused 0\n"
+    for q in family:
+        _, table = cache.load_entry(cache.cache_path(cache_dir, q))
+        assert table.N == 200
+
+
+def test_tabulate_rewrites_a_corrupt_blob(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    family = fundamental_discriminants(60)
+    run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
+    q = classify_discriminant(-39)
+    path = cache.cache_path(cache_dir, q)
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 1
+    path.write_bytes(bytes(blob))
+    code, out, err = run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
+    assert code == 0
+    assert out == f"tabulated 1 blob(s), reused {len(family) - 1}\n"
+    assert len(err.splitlines()) == 1 and err.startswith("warning:") and "39.qfgc" in err
+    # the rewritten blob is sound again and holds the cold answers
+    group, table = cache.load_entry(path)
+    assert np.array_equal(group.composition, class_group(q).composition)
+    assert np.array_equal(table.w, build_w_table(class_group(q), 100).w)
 
 
 def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):

@@ -147,6 +147,14 @@ def test_known_class_numbers():
         assert class_number(-q) == h, q
 
 
+def test_class_number_counts_the_group_classes():
+    # mod-8 discriminants included: they are fundamental but outside the scan family
+    qs = [d for d in range(-3000, 0) if arith.is_fundamental_discriminant(d)]
+    assert any(q % 8 == 0 for q in qs)
+    for q in qs:
+        assert class_number(-q) == len(class_group(q).classes), q
+
+
 def test_two_by_two_group():
     g = class_group(-84)
     assert g.h == 4

@@ -247,7 +247,7 @@ def test_discrepancy_matches_per_y_loop(q, k, grid_count, X, chunk_columns):
 
 def test_discrepancy_edge_cases_match_per_y_loop():
     group, table = _group_and_table(-47)
-    for X in (0, 1, 1.5):
+    for X in (-1, 0, 1, 1.5):
         for k in (0, 1, 2):
             assert discrepancy_E_k(X, group, k, table) == 0.0
             assert _E_k_per_y(X, group, k, table) == 0.0
