@@ -19,8 +19,14 @@ import numpy as np
 
 from . import arith
 from .arith import Discriminant, SieveTables, kronecker
-from .characters import ClassCharacter, WTable, lambda_table
-from .forms import FormClassGroup, class_group, represented_mask
+from .characters import ClassCharacter, WTable, lambda_table, w_units
+from .forms import (
+    FormClassGroup,
+    QuadForm,
+    _half_lattice_values,
+    class_group,
+    representation_count,
+)
 from .serialize import canonical_json, format_float
 
 __all__ = [
@@ -28,6 +34,7 @@ __all__ = [
     "li",
     "pi_repr",
     "pi_repr_all",
+    "gather_flags",
     "psi_k",
     "psi_k_chi",
     "discrepancy_E_k",
@@ -115,23 +122,76 @@ def li(x: float, tol: float = 1e-10) -> float:
 # per-class prime counts and smoothed sums
 
 
-def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
-    """pi(X; q, C) for every class C: primes p <= X represented by C."""
+# primes below 5 are counted one by one: the kernel visits only the lattice
+# points whose value is prime to their product
+_SMALL_PRIMES = (2, 3)
+_MODULUS = math.prod(_SMALL_PRIMES)
+
+
+def gather_flags(sieve: SieveTables, X: float) -> np.ndarray:
+    """Read-only flags[n] iff n is a prime >= 5, for 0 <= n <= X.
+
+    Built once from sieve.primes and shared by every pi_repr_all call of a
+    scan, threads included.
+    """
+    limit = int(X)
+    ps = sieve.primes
+    flags = np.zeros(limit + 1, dtype=bool)
+    flags[ps[: np.searchsorted(ps, limit, side="right")]] = True
+    flags[: max(_SMALL_PRIMES) + 1] = False
+    flags.flags.writeable = False
+    return flags
+
+
+def _small_primes_represented(f: QuadForm, limit: int) -> list[int]:
+    return [p for p in _SMALL_PRIMES if p <= limit and representation_count(f, p) > 0]
+
+
+def pi_repr_all(
+    X: float, group: FormClassGroup, sieve: SieveTables, flags: np.ndarray | None = None
+) -> np.ndarray:
+    """pi(X; q, C) for every class C: primes p <= X represented by C.
+
+    Primes p >= 5 are counted by gathering flags (gather_flags(sieve, X),
+    built here unless the caller shares one) at the values of the class's
+    form on the half lattice, stepping only over points with
+    gcd(f(x, y), 6) = 1.  A prime p lies on w(q)/2 = u half-lattice points
+    per ideal of norm p in C: one ideal if p ramifies, and for a split p
+    one in a non-ambiguous class (its conjugate lies in C^-1 != C) but two
+    in an ambiguous one.  So pi = hits/u for C != C^-1, and
+    pi = (hits/u + ram_C)/2 for C = C^-1, with ram_C the ramified primes
+    5 <= p <= X that C represents.  A count that u does not divide, or an
+    odd hits/u + ram_C, raises ArithmeticError.  The primes 2 and 3 are
+    checked by representation_count.
+    """
     if X > sieve.limit:
         raise ValueError("X beyond sieve limit")
     limit = int(X)
-    if limit < 2:
-        return np.zeros(group.h, dtype=np.int64)
-    ps = sieve.primes
-    ps = ps[: np.searchsorted(ps, limit, side="right")]
-    # (a, b, c) and (a, -b, c) represent the same integers (x -> -x), so
-    # one mask serves each pair of inverse classes
-    counts: dict[tuple[int, int, int], int] = {}
     out = np.zeros(group.h, dtype=np.int64)
+    if limit < 2:
+        return out
+    if flags is None:
+        flags = gather_flags(sieve, limit)
+    u = w_units(group.q) // 2
+    ramified = [p for p, _ in arith.factorize(group.q.abs_q) if 5 <= p <= limit]
+    # (a, b, c) and (a, -b, c) represent the same integers (x -> -x), so
+    # one count serves each pair of inverse classes
+    counts: dict[tuple[int, int, int], int] = {}
     for i, f in enumerate(group.classes):
         key = (f.a, abs(f.b), f.c)
         if key not in counts:
-            counts[key] = int(np.count_nonzero(represented_mask(f, limit)[ps]))
+            hits = sum(
+                int(np.count_nonzero(flags[vals]))
+                for vals in _half_lattice_values(f, limit, _MODULUS)
+            )
+            ideals, rem = divmod(hits, u)
+            if f.is_ambiguous:
+                ram = sum(1 for p in ramified if representation_count(f, p) > 0)
+                ideals, odd = divmod(ideals + ram, 2)
+                rem = rem or odd
+            if rem:
+                raise ArithmeticError(f"prime count of {tuple(f)} is not a whole number of ideals")
+            counts[key] = ideals + len(_small_primes_represented(f, limit))
         out[i] = counts[key]
     return out
 
@@ -319,10 +379,11 @@ def _scan(
         raise ValueError("X beyond sieve limit")
     qs = arith.fundamental_discriminants(Q)
     li_x = li(float(X), cfg.li_tol)
+    flags = gather_flags(sieve, X)
 
     def work(q: Discriminant) -> QRecord:
         group = group_loader(q)
-        pis = pi_repr_all(X, group, sieve)
+        pis = pi_repr_all(X, group, sieve, flags)
         devs = [
             abs(float(pis[i]) - li_x / (group.e[i] * group.h))
             for i in range(group.h)
@@ -434,18 +495,25 @@ def least_prime(
 ) -> LeastPrimeResult:
     """Smallest prime represented by class c, by ascending scan.
 
-    The scan never extends past cap; an unsuccessful search reports status
+    Within each bound, 2 and 3 are checked one by one and the primes p >= 5
+    gathered at the lattice points coprime to 6, as in pi_repr_all.  The
+    scan never extends past cap; an unsuccessful search reports status
     "unresolved" rather than a wrong answer.
     """
+    if cap < 1:
+        raise ValueError("cap must be positive")
     f = group.classes[c]
     bound = 1 << 10
     while True:
         bound = min(bound, cap)
+        small = _small_primes_represented(f, bound)
+        if small:
+            return LeastPrimeResult(c, small[0], "found", bound)
         flags = arith.prime_flags(bound)
-        mask = represented_mask(f, bound)
-        hits = np.flatnonzero(mask & flags)
-        if hits.size:
-            return LeastPrimeResult(c, int(hits[0]), "found", bound)
+        chunks = (vals[flags[vals]] for vals in _half_lattice_values(f, bound, _MODULUS))
+        least = [int(hits.min()) for hits in chunks if hits.size]
+        if least:
+            return LeastPrimeResult(c, min(least), "found", bound)
         if bound >= cap:
             return LeastPrimeResult(c, None, "unresolved", bound)
         bound <<= 3

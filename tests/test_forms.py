@@ -155,6 +155,19 @@ def test_class_number_counts_the_group_classes():
         assert class_number(-q) == len(class_group(q).classes), q
 
 
+def test_e_from_ambiguous_forms_matches_orders():
+    # e(C) is read off the reduced form; the composition table's orders and
+    # the inverse by reduction of (a, -b, c) are the references
+    qs = [d for d in range(-3000, 0) if arith.is_fundamental_discriminant(d)]
+    # q = 1 (mod 4), q = 8 (mod 16) and q = 12 (mod 16)
+    assert {q % 16 for q in qs} >= {1, 5, 9, 13, 8, 12}
+    for q in qs:
+        g = class_group(q)
+        assert g.e == tuple(2 if o <= 2 else 1 for o in g.orders), q
+        for i, f in enumerate(g.classes):
+            assert f.is_ambiguous == (g.inverse(i) == i), (q, tuple(f))
+
+
 def test_two_by_two_group():
     g = class_group(-84)
     assert g.h == 4
@@ -361,10 +374,16 @@ def _lattice_brute(f: QuadForm, limit: int) -> np.ndarray:
     return np.bincount(vals[(vals >= 1) & (vals <= limit)], minlength=limit + 1)
 
 
-def _kernel_matches_brute(f: QuadForm, limit: int) -> bool:
+def _kernel_matches_brute(f: QuadForm, limit: int, M: int = 6) -> bool:
+    """The whole kernel (M = 1) and its sub-rows prime to M, against the box."""
     counts = _lattice_brute(f, limit)
-    return np.array_equal(value_counts(f, limit), counts) and np.array_equal(
-        represented_mask(f, limit), counts > 0
+    coprime = np.zeros(limit + 1, dtype=np.int64)
+    for vals in forms._half_lattice_values(f, limit, M):
+        np.add.at(coprime, vals, 2)
+    return (
+        np.array_equal(value_counts(f, limit), counts)
+        and np.array_equal(represented_mask(f, limit), counts > 0)
+        and np.array_equal(coprime, counts * (np.gcd(np.arange(limit + 1), M) == 1))
     )
 
 
@@ -395,9 +414,10 @@ def reduced_primitive_forms(draw):
 @given(
     f=st.one_of(st.sampled_from(_EDGE_FORMS), reduced_primitive_forms()),
     limit=st.integers(min_value=1, max_value=3000),
+    M=st.sampled_from([2, 3, 6, 10, 30]),
 )
-def test_lattice_kernel_matches_brute(f, limit):
-    assert _kernel_matches_brute(f, limit), (tuple(f), limit)
+def test_lattice_kernel_matches_brute(f, limit, M):
+    assert _kernel_matches_brute(f, limit, M), (tuple(f), limit, M)
 
 
 def test_lattice_oracle_fires_on_planted_faults(monkeypatch):
@@ -413,11 +433,23 @@ def test_lattice_oracle_fires_on_planted_faults(monkeypatch):
         lo[0] = hi[0] + 1
         return y, lo, hi
 
+    real_residues = forms._coprime_residues
+
+    def first_residue_dropped(f, M):
+        allowed = real_residues(f, M)
+        allowed[tuple(np.argwhere(allowed)[0])] = False
+        return allowed
+
     cases = [(f, limit) for f in _EDGE_FORMS for limit in (1, 10, 300, 3000)]
     assert all(_kernel_matches_brute(f, limit) for f, limit in cases)
-    for fault in (hi_short_by_one, y0_row_dropped):
-        monkeypatch.setattr(forms, "_half_rows", fault)
-        assert not all(_kernel_matches_brute(f, limit) for f, limit in cases), fault
+    for name, fault in (
+        ("_half_rows", hi_short_by_one),
+        ("_half_rows", y0_row_dropped),
+        ("_coprime_residues", first_residue_dropped),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, name, fault)
+            assert not all(_kernel_matches_brute(f, limit) for f, limit in cases), fault
 
 
 def test_lattice_kernel_refuses_inexact_sizes():

@@ -1,8 +1,11 @@
 import functools
 import json
 import math
+import runpy
+import sys
 import tracemalloc
 import unittest.mock
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qforms import arith, stats
+from qforms import arith, forms, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants, kronecker
 from qforms.characters import build_w_table, characters
 from qforms.forms import class_group, representation_count, represented_mask
@@ -83,8 +86,8 @@ def test_pi_repr_against_per_prime_recount(sieve_10k):
 
 
 def test_pi_repr_all_equal_on_inverse_classes(sieve_1m):
-    # pi_repr_all shares one mask per inverse pair; each class's own mask
-    # must give the same count
+    # pi_repr_all counts once per inverse pair; each class's own mask must
+    # give the same count
     X = 200_000
     ps = sieve_1m.primes[sieve_1m.primes <= X]
     for q in arith.fundamental_discriminants(200):
@@ -93,6 +96,91 @@ def test_pi_repr_all_equal_on_inverse_classes(sieve_1m):
         for i, f in enumerate(group.classes):
             assert pis[i] == pis[group.inverse(i)], (q.q, i)
             assert pis[i] == np.count_nonzero(represented_mask(f, X)[ps]), (q.q, i)
+
+
+def _pi_by_mask(xs, group, sieve):
+    """pi(X; q, C) for each X in xs by scattering each inverse pair's values
+    into one mask up to max(xs) and gathering it at every prime: the slow
+    path the coprime-to-6 gather replaced.  Row k holds the counts at xs[k]."""
+    limit = int(max(xs))
+    ps = sieve.primes[: np.searchsorted(sieve.primes, limit, side="right")]
+    ends = np.searchsorted(ps, [int(X) for X in xs], side="right")
+    rows = {}
+    out = np.zeros((len(xs), group.h), dtype=np.int64)
+    for i, f in enumerate(group.classes):
+        key = (f.a, abs(f.b), f.c)
+        if key not in rows:
+            hits = np.cumsum(represented_mask(f, max(limit, 1))[ps])
+            rows[key] = np.r_[0, hits][ends]
+        out[:, i] = rows[key]
+    return out
+
+
+def _pi_matches_mask(groups, xs, sieve):
+    """Whether pi_repr_all agrees with the mask path at every X in xs; an
+    ArithmeticError from pi_repr_all's divisibility checks is a mismatch."""
+    try:
+        return all(
+            np.array_equal([stats.pi_repr_all(X, g, sieve) for X in xs], _pi_by_mask(xs, g, sieve))
+            for g in groups
+        )
+    except ArithmeticError:
+        return False
+
+
+_SMALL_XS = (2, 3, 4, 5, 6, 7, 8, 13, 30, 1000)
+
+
+@functools.lru_cache(maxsize=1)
+def _groups_3000():
+    # every fundamental discriminant, mod 8 included: 3 | q and 4 | q, and
+    # q = -3 and -4 with u = w/2 = 3 and 2 ideals' worth of points per prime
+    qs = [d for d in range(-3, -3001, -1) if arith.is_fundamental_discriminant(d)]
+    return [class_group(q) for q in qs]
+
+
+def test_pi_repr_all_matches_mask_path(sieve_1m):
+    groups = _groups_3000()
+    assert {int(g.q) for g in groups[:2]} == {-3, -4}
+    assert any(int(g.q) % 3 == 0 for g in groups) and any(int(g.q) % 8 == 0 for g in groups)
+    assert _pi_matches_mask(groups, _SMALL_XS, sieve_1m)
+    # at X = 1e5 the values of the smallest forms fill several chunks
+    assert _pi_matches_mask(groups[:250], (100_000,), sieve_1m)
+
+
+def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch):
+    groups = [g for g in _groups_3000() if abs(int(g.q)) <= 300]
+    xs = (3, 30, 1000)
+    assert _pi_matches_mask(groups, xs, sieve_1m)
+    real_residues = forms._coprime_residues
+
+    def first_residue_dropped(f, M):
+        allowed = real_residues(f, M)
+        allowed[tuple(np.argwhere(allowed)[0])] = False
+        return allowed
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_coprime_residues", first_residue_dropped)
+        assert not _pi_matches_mask(groups, xs, sieve_1m)
+    with monkeypatch.context() as patch:
+        patch.setattr(stats, "_small_primes_represented", lambda f, limit: [])
+        assert not _pi_matches_mask(groups, xs, sieve_1m)
+
+
+def test_pi_repr_all_refuses_a_fractional_ideal_count(sieve_10k, monkeypatch):
+    # a kernel that visits the y = 1 row twice puts 7 = 2^2 + 2 + 1 on 7
+    # half-lattice points of x^2 + xy + y^2 instead of 6, which u = 3 does
+    # not divide
+    g3 = class_group(-3)
+    real = forms._half_rows
+
+    def y1_row_twice(f, limit):
+        y, lo, hi = real(f, limit)
+        return np.r_[y, y[1:2]], np.r_[lo, lo[1:2]], np.r_[hi, hi[1:2]]
+
+    monkeypatch.setattr(forms, "_half_rows", y1_row_twice)
+    with pytest.raises(ArithmeticError, match="whole number of ideals"):
+        stats.pi_repr_all(1000, g3, sieve_10k)
 
 
 def test_psi_trivial_cases():
@@ -343,6 +431,35 @@ def test_scan_against_slow_recount(sieve_10k):
         assert row.value == pytest.approx(slow, rel=1e-12)
 
 
+def test_scan_memory_is_one_shared_flag_table():
+    # two threads share one read-only X-byte flag table; a mask per thread
+    # and per pair of classes (about 11.3 MB here) does not fit the bound
+    X = 4_000_000
+    sieve = arith.build_sieve(X)
+    tracemalloc.start()
+    try:
+        bv_statistic(30, X, sieve, threads=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X + 4 * 2**20, peak
+
+
+def test_family_scan_script(capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_family_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "-Q", "20", "-X", "2000", "10000"])
+    runpy.run_path(str(script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    for X, line in zip((2000, 10_000), lines):
+        assert line.startswith(f"X={X:>9d}  bv aggregate="), line
+        assert "bdh aggregate=" in line and line.count("normalized=") == 2, line
+    assert lines[2] == ""
+    assert lines[3] == "q,h,e_max,value,exceptional"
+    rows = [r.split(",") for r in lines[4:] if r]
+    assert [int(r[0]) for r in rows] == [q.q for q in fundamental_discriminants(20)]
+    assert all(len(r) == 5 and r[4] in ("true", "false") for r in rows)
+
+
 def test_scans_monotone_in_Q(sieve_10k):
     x = 5000
     bv_values = [bv_statistic(q, x, sieve_10k).aggregate for q in (10, 30, 60, 100)]
@@ -439,16 +556,21 @@ def test_least_prime_examples():
     assert least_prime(g23, 0).prime == 23
 
 
-def test_least_prime_attained(sieve_10k):
-    for q in (-23, -47, -84, -163):
-        group = class_group(q)
-        for c in range(group.h):
-            res = least_prime(group, c)
-            assert res.status == "found"
-            f = group.classes[c]
-            assert representation_count(f, res.prime) > 0
-            for p in sieve_10k.primes[sieve_10k.primes < res.prime].tolist():
-                assert representation_count(f, p) == 0
+def test_least_prime_attained(sieve_10k, monkeypatch):
+    # every class of every fundamental |q| <= 500, mod 8 included; with
+    # chunks of 64 lattice points the least prime is a minimum over chunks
+    qs = [d for d in range(-3, -501, -1) if arith.is_fundamental_discriminant(d)]
+    assert {-3, -4, -84, -163} <= set(qs)
+    groups = [class_group(q) for q in qs]
+    for chunk in (forms._CHUNK, 64):
+        monkeypatch.setattr(forms, "_CHUNK", chunk)
+        for group in groups:
+            for c, f in enumerate(group.classes):
+                res = least_prime(group, c)
+                assert res.status == "found"
+                assert representation_count(f, res.prime) > 0
+                below = sieve_10k.primes[sieve_10k.primes < res.prime]
+                assert not represented_mask(f, res.prime)[below].any(), (group.q.q, c, chunk)
 
 
 def test_least_prime_cap():
