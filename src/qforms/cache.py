@@ -1,10 +1,22 @@
 """Binary on-disk cache for class groups and weight tables.
 
-One blob per discriminant, keyed by |q|, with a versioned little-endian
-header and a trailing CRC-32 of everything before it; any format mismatch,
-checksum failure, length mismatch or inconsistent group table surfaces as
-CacheError so callers can rebuild.  A version bump invalidates all existing
-blobs.
+One blob per discriminant, keyed by |q|, little-endian throughout:
+
+- header: magic ``QFGC``, format version (3), q, h;
+- the h reduced forms (a, b, c) as ``<i8``, principal form first;
+- N (0 when no weight table is stored) and a width code, the bytes per
+  weight entry: 1, 2 or 4;
+- w(C, n) for n = 0..N as an (h, N + 1) array of ``<u1``, ``<u2`` or
+  ``<u4``, the narrowest that holds its maximum;
+- a CRC-32 of everything before it.
+
+Nothing derived from the forms is stored: the composition table, orders,
+cyclic decomposition and coords of a loaded group are computed by
+`FormClassGroup` when first asked for, exactly as for a group built from
+scratch.  A bad magic, another format version, a checksum failure, a
+length that does not match the header, an unknown width code or a form
+that is not a reduced form of discriminant q surfaces as CacheError so
+callers can rebuild.  A version bump invalidates all existing blobs.
 """
 
 from __future__ import annotations
@@ -24,9 +36,11 @@ from .forms import FormClassGroup, QuadForm, class_group
 __all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_usable", "load_or_build"]
 
 _MAGIC = b"QFGC"
-_VERSION = 2
-_HEADER = struct.Struct("<4sIqII")  # magic, version, q, h, rank
+_VERSION = 3
+_HEADER = struct.Struct("<4sIqI")  # magic, version, q, h
+_TABLE = struct.Struct("<qI")  # N (0: no weight table), width code
 _CRC = struct.Struct("<I")  # zlib.crc32 of header and payload, at the end
+_WIDTHS = {1: "<u1", 2: "<u2", 4: "<u4"}  # width code -> stored dtype of w
 
 
 class CacheError(Exception):
@@ -37,26 +51,29 @@ def cache_path(cache_dir: str | Path, q: Discriminant) -> Path:
     return Path(cache_dir) / f"{q.abs_q}.qfgc"
 
 
-def _pack_array(arr: np.ndarray, dtype: str) -> bytes:
-    return np.ascontiguousarray(arr, dtype=np.dtype(dtype)).tobytes()
+def _width_code(w: np.ndarray) -> int:
+    """Bytes per entry of the narrowest unsigned dtype that holds w."""
+    low, top = (int(w.min()), int(w.max())) if w.size else (0, 0)
+    if low < 0 or top >= 1 << 32:
+        raise ValueError("weight table entries must lie in [0, 2^32)")
+    return next(code for code in _WIDTHS if top < 1 << (8 * code))
 
 
 def save_entry(path: str | Path, group: FormClassGroup, table: WTable | None = None) -> None:
-    """Write one blob atomically (temp file + rename)."""
+    """Write one blob atomically (temp file + rename).
+
+    Raises ValueError for a weight below 0 or at least 2^32, which the
+    widest stored dtype could not hold.
+    """
     path = Path(path)
-    dec = group.cyclic_decomposition
-    parts = [_HEADER.pack(_MAGIC, _VERSION, group.q.q, group.h, len(dec))]
-    forms = np.array([(f.a, f.b, f.c) for f in group.classes], dtype=np.int64)
-    parts.append(_pack_array(forms, "<i8"))
-    parts.append(_pack_array(group.composition, "<i4"))
-    parts.append(_pack_array(np.array(group.orders), "<i4"))
-    parts.append(_pack_array(np.array(dec, dtype=np.int64).reshape(len(dec), 2), "<i4"))
-    parts.append(_pack_array(group.coords, "<i4"))
+    forms = np.array([(f.a, f.b, f.c) for f in group.classes], dtype="<i8")
+    parts = [_HEADER.pack(_MAGIC, _VERSION, group.q.q, group.h), forms.tobytes()]
     if table is None:
-        parts.append(struct.pack("<q", 0))
+        parts.append(_TABLE.pack(0, 1))  # no w follows; any valid code
     else:
-        parts.append(struct.pack("<q", table.N))
-        parts.append(_pack_array(table.w, "<i8"))
+        code = _width_code(table.w)
+        parts.append(_TABLE.pack(table.N, code))
+        parts.append(table.w.astype(_WIDTHS[code]).tobytes())
     body = b"".join(parts)
     # a unique temp file per writer, so concurrent saves of one blob never
     # write through the same file
@@ -70,39 +87,12 @@ def save_entry(path: str | Path, group: FormClassGroup, table: WTable | None = N
         raise
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, size: int) -> bytes:
-        if self.pos + size > len(self.blob):
-            raise CacheError("truncated cache blob")
-        out = self.blob[self.pos : self.pos + size]
-        self.pos += size
-        return out
-
-    def array(self, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-        dt = np.dtype(dtype)
-        size = dt.itemsize * int(np.prod(shape)) if shape else dt.itemsize
-        return np.frombuffer(self.take(size), dtype=dt).reshape(shape).copy()
-
-
-def _check_latin_square(comp: np.ndarray) -> None:
-    """A group table is a Latin square whose row 0 (the principal class) is
-    the identity.  On one, every power sequence returns to the identity, so
-    FormClassGroup.orders terminates when it checks the stored orders."""
-    ident = np.arange(len(comp))
-    if not (
-        np.array_equal(comp[0], ident)
-        and (np.sort(comp, axis=0) == ident[:, None]).all()
-        and (np.sort(comp, axis=1) == ident).all()
-    ):
-        raise CacheError("composition table is not a group table")
-
-
 def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
-    """Load a blob; raises CacheError on any header, checksum or format problem."""
+    """Load a blob; raises CacheError on any header, checksum or format problem.
+
+    The group holds only its classes; its derived structure is computed on
+    first use.  w is widened to int64.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -110,8 +100,7 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
     if len(blob) < _HEADER.size + _CRC.size:
         raise CacheError("truncated cache blob")
     body = memoryview(blob)[: -_CRC.size]
-    r = _Reader(body)
-    magic, version, q_value, h, rank = _HEADER.unpack(r.take(_HEADER.size))
+    magic, version, q_value, h = _HEADER.unpack_from(body)
     if magic != _MAGIC:
         raise CacheError("bad magic")
     if version != _VERSION:
@@ -123,29 +112,26 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
     q = classify_discriminant(q_value)
     if not q.is_fundamental:
         raise CacheError("cached discriminant is not fundamental")
-    forms_arr = r.array("<i8", (h, 3))
-    comp = r.array("<i4", (h, h)).astype(np.int32)
-    orders = r.array("<i4", (h,))
-    dec = r.array("<i4", (rank, 2))
-    coords = r.array("<i4", (h, rank)).astype(np.int64)
-    (n_limit,) = struct.unpack("<q", r.take(8))
-    w = r.array("<i8", (h, n_limit + 1)) if n_limit else None
-    if r.pos != len(body):
+    table_at = _HEADER.size + 24 * h
+    if table_at + _TABLE.size > len(body):
+        raise CacheError("truncated cache blob")
+    n_limit, code = _TABLE.unpack_from(body, table_at)
+    if code not in _WIDTHS:
+        raise CacheError(f"unknown weight width code {code}")
+    if n_limit < 0:
+        raise CacheError("implausible header")
+    w_at = table_at + _TABLE.size
+    if w_at + (h * (n_limit + 1) * code if n_limit else 0) != len(body):
         raise CacheError("cache blob length does not match its header")
-    _check_latin_square(comp)
-    classes = tuple(QuadForm(*map(int, row)) for row in forms_arr)
+    forms = np.frombuffer(body, dtype="<i8", count=3 * h, offset=_HEADER.size)
+    classes = tuple(QuadForm(*row) for row in forms.reshape(h, 3).tolist())
     if any(f.disc != q_value or not f.is_reduced for f in classes):
         raise CacheError("cached forms do not match the discriminant")
-    group = FormClassGroup(q, classes)
-    group.__dict__["composition"] = comp
-    if group.orders != tuple(orders.tolist()):
-        raise CacheError("stored orders disagree with the composition table")
-    group.__dict__["cyclic_decomposition"] = tuple(
-        (int(g), int(d)) for g, d in dec
-    )
-    group.__dict__["coords"] = coords
-    table = WTable(q, int(n_limit), w.astype(np.int64)) if n_limit else None
-    return group, table
+    table = None
+    if n_limit:
+        w = np.frombuffer(body, dtype=_WIDTHS[code], count=h * (n_limit + 1), offset=w_at)
+        table = WTable(q, n_limit, w.reshape(h, n_limit + 1).astype(np.int64))
+    return FormClassGroup(q, classes), table
 
 
 def load_usable(

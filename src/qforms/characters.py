@@ -144,8 +144,7 @@ def build_w_table(
                 mat[i] = mat[inv] = value_counts(f, N)
         if (mat % units).any():
             raise IdentityViolation("representation counts not divisible by unit count")
-        w = mat // units
-        return WTable(group.q, N, w.astype(np.int64))
+        return WTable(group.q, N, mat // units)
     if method == "multiplicative":
         return _build_w_multiplicative(group, N)
     raise ValueError(f"unknown method {method!r}")

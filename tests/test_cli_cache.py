@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import sys
 import threading
 import zlib
@@ -9,11 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qforms import cache
+from qforms import cache, forms
 from qforms.arith import classify_discriminant, fundamental_discriminants
-from qforms.characters import build_w_table
+from qforms.characters import WTable, build_w_table
 from qforms.cli import main
-from qforms.forms import FormClassGroup, class_group
+from qforms.forms import QuadForm, class_group
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +58,27 @@ def test_cache_rejects_corruption(tmp_path):
         cache.load_entry(path)
 
 
-@pytest.mark.parametrize("corruption", ["composition bit", "w-table bit", "trailing bytes"])
+def _reseal(body):
+    """body with a valid CRC-32 appended, so the checks behind it run."""
+    return bytes(body) + zlib.crc32(bytes(body)).to_bytes(4, "little")
+
+
+# corruption -> the error it must raise: a flipped bit is caught by the
+# checksum; the other blobs are resealed, so the structural check runs
+CORRUPTIONS = {
+    "forms bit": "checksum",
+    "w-table bit": "checksum",
+    "trailing bytes": "length",
+    "unknown width code": "width code",
+    "truncated": "length",
+    "cut in the forms": "truncated",
+    "negative N": "implausible",
+    "form not reduced": "do not match the discriminant",
+    "form of another discriminant": "do not match the discriminant",
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
 def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
     q = classify_discriminant(-39)  # h = 4
     group = class_group(q)
@@ -65,16 +86,37 @@ def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
     path = cache.cache_path(tmp_path, q)
     cache.save_entry(path, group, table)
     blob = bytearray(path.read_bytes())
-    comp_at = cache._HEADER.size + 8 * 3 * group.h  # after the header and the forms
-    w_at = len(blob) - 4 - 8 * group.h * 201  # the w-table ends at the 4-byte CRC
-    if corruption == "composition bit":
-        blob[comp_at + 4] ^= 1  # composition[0, 1]
+    body = blob[:-4]
+    forms_at = cache._HEADER.size
+    table_at = forms_at + 8 * 3 * group.h
+    n_limit, code = cache._TABLE.unpack_from(blob, table_at)
+    assert (n_limit, code) == (200, 1)
+    w_at = table_at + cache._TABLE.size
+    if corruption == "forms bit":
+        blob[forms_at + 8 * (3 * 1 + 1)] ^= 1  # b of classes[1]
     elif corruption == "w-table bit":
-        blob[w_at + 8 * (201 + 97)] ^= 1  # w[1, 97]
+        blob[w_at + code * (201 + 97)] ^= 1  # w[1, 97]
+    elif corruption == "trailing bytes":
+        blob = _reseal(body + bytes(8))
+    elif corruption == "unknown width code":
+        body[table_at + 8 : table_at + 12] = (3).to_bytes(4, "little")
+        blob = _reseal(body)
+    elif corruption == "truncated":
+        blob = _reseal(body[:-201])  # the last row of w is missing
+    elif corruption == "cut in the forms":
+        blob = _reseal(body[: table_at - 8])
+    elif corruption == "negative N":
+        body[table_at : table_at + 8] = (-1).to_bytes(8, "little", signed=True)
+        blob = _reseal(body[:w_at])
     else:
-        blob += b"\0" * 8
+        assert group.classes[1] == QuadForm(2, 1, 5)
+        # (5, 1, 2) has discriminant -39 but is not reduced; (2, 1, 6) is
+        # reduced, of discriminant -47
+        bad = (5, 1, 2) if corruption == "form not reduced" else (2, 1, 6)
+        body[forms_at + 8 * 3 : forms_at + 8 * 6] = np.array(bad, "<i8").tobytes()
+        blob = _reseal(body)
     path.write_bytes(bytes(blob))
-    with pytest.raises(cache.CacheError):
+    with pytest.raises(cache.CacheError, match=CORRUPTIONS[corruption]):
         cache.load_entry(path)
     warnings = []
     loaded, loaded_table = cache.load_or_build(q, tmp_path, n_limit=200, warn=warnings.append)
@@ -83,34 +125,56 @@ def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
     assert np.array_equal(loaded_table.w, table.w)
 
 
-def test_structure_checks_behind_the_checksum(tmp_path):
-    # blobs written with a valid checksum around an inconsistent group table
-    q = classify_discriminant(-39)
+@pytest.mark.parametrize("top, code", [(255, 1), (256, 2), (65535, 2), (65536, 4), (2**32 - 1, 4)])
+def test_weights_are_stored_in_the_narrowest_width(tmp_path, top, code):
+    q = classify_discriminant(-23)
+    w = np.arange(3 * 41, dtype=np.int64).reshape(3, 41) % 7
+    w[2, 40] = top
     path = cache.cache_path(tmp_path, q)
-    group = class_group(q)
+    cache.save_entry(path, class_group(q), WTable(q, 40, w))
+    blob = path.read_bytes()
+    table_at = cache._HEADER.size + 8 * 3 * 3
+    assert cache._TABLE.unpack_from(blob, table_at) == (40, code)
+    assert len(blob) == table_at + cache._TABLE.size + code * 3 * 41 + 4
+    _, loaded = cache.load_entry(path)
+    assert loaded.w.dtype == np.int64 and np.array_equal(loaded.w, w)
 
-    def variant(**tables):
-        out = FormClassGroup(q, group.classes)
-        for name in ("composition", "orders", "cyclic_decomposition", "coords"):
-            out.__dict__[name] = tables.get(name, getattr(group, name))
-        return out
 
-    not_latin = group.composition.copy()
-    not_latin[0, [1, 2]] = not_latin[0, [2, 1]]
-    latin_without_identity_row = group.composition[[1, 0, 2, 3]]
-    for comp in (not_latin, latin_without_identity_row):
-        cache.save_entry(path, variant(composition=comp))
-        with pytest.raises(cache.CacheError, match="not a group table"):
-            cache.load_entry(path)
-    assert group.orders == (1, 4, 4, 2)
-    cache.save_entry(path, variant(orders=(1, 2, 4, 4)))
-    with pytest.raises(cache.CacheError, match="orders"):
-        cache.load_entry(path)
-    cache.save_entry(path, group)
-    body = path.read_bytes()[:-4] + bytes(8)
-    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
-    with pytest.raises(cache.CacheError, match="length"):
-        cache.load_entry(path)
+@pytest.mark.parametrize("bad", [-1, 2**32])
+def test_weights_out_of_range_are_refused(tmp_path, bad):
+    q = classify_discriminant(-23)
+    w = np.zeros((3, 11), dtype=np.int64)
+    w[1, 5] = bad
+    path = cache.cache_path(tmp_path, q)
+    with pytest.raises(ValueError, match="2\\^32"):
+        cache.save_entry(path, class_group(q), WTable(q, 10, w))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_round_trip_derives_the_structure_of_a_fresh_group(tmp_path, monkeypatch):
+    groups = [class_group(q) for q in fundamental_discriminants(1000)]
+    assert len(groups) == 254
+    tables = {g.q.q: build_w_table(g, 30) for g in groups}
+    # neither saving nor loading composes a form: the structure is derived
+    # only when a caller asks for it
+    def refuse(*_args):
+        raise AssertionError("compose_forms called")
+
+    with monkeypatch.context() as m:
+        m.setattr(forms, "compose_forms", refuse)
+        loaded = []
+        for g in groups:
+            path = cache.cache_path(tmp_path, g.q)
+            cache.save_entry(path, g, tables[g.q.q])
+            loaded.append(cache.load_entry(path))
+    for g, (got, table) in zip(groups, loaded):
+        assert got.q.q == g.q.q and got.classes == g.classes
+        assert np.array_equal(table.w, tables[g.q.q].w)
+        assert np.array_equal(got.composition, g.composition)
+        assert got.orders == g.orders
+        assert got.cyclic_decomposition == g.cyclic_decomposition
+        assert np.array_equal(got.coords, g.coords)
+        assert got.e == g.e
 
 
 def test_load_or_build_rebuilds_on_version_bump(tmp_path, monkeypatch):
@@ -321,12 +385,59 @@ def test_tabulate_idempotent_and_transparent(tmp_path, capsys):
     assert code == 0 and "reused" in out
     stamps2 = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()}
     assert stamps == stamps2  # second run touches no blob
-    # cached answers match cold ones
-    code, cold, _ = run_cli(capsys, "classgroup", "-q", "-47", "--format", "json")
-    code, warm, _ = run_cli(
-        capsys, "classgroup", "-q", "-47", "--format", "json", "--cache", cache_dir
-    )
-    assert cold == warm
+    # cached answers match cold ones, byte for byte
+    for q in fundamental_discriminants(60):
+        argv = ["classgroup", "-q", str(q.q), "--format", "json"]
+        code, cold, _ = run_cli(capsys, *argv)
+        assert code == 0
+        code, warm, err = run_cli(capsys, *argv, "--cache", cache_dir)
+        assert code == 0 and err == "" and cold == warm
+
+
+def test_tabulate_writes_identical_blobs(tmp_path, capsys):
+    blobs = []
+    for run in ("a", "b"):
+        cache_dir = tmp_path / run
+        code, _, _ = run_cli(capsys, "tabulate", "-Q", "200", "-N", "300", "--cache", str(cache_dir))
+        assert code == 0
+        blobs.append({p.name: p.read_bytes() for p in cache_dir.iterdir()})
+    assert len(blobs[0]) == len(fundamental_discriminants(200))
+    assert blobs[0] == blobs[1]
+
+
+def _format2_blob(group, table):
+    """A blob in the previous layout: the group table, orders, decomposition
+    and coords as <i4 after the forms, and w as <i8."""
+    dec = group.cyclic_decomposition
+    body = b"".join([
+        struct.pack("<4sIqII", b"QFGC", 2, group.q.q, group.h, len(dec)),
+        np.array([(f.a, f.b, f.c) for f in group.classes], "<i8").tobytes(),
+        group.composition.astype("<i4").tobytes(),
+        np.array(group.orders, "<i4").tobytes(),
+        np.array(dec, "<i4").reshape(len(dec), 2).tobytes(),
+        group.coords.astype("<i4").tobytes(),
+        struct.pack("<q", table.N),
+        table.w.astype("<i8").tobytes(),
+    ])
+    return _reseal(body)
+
+
+def test_tabulate_rewrites_a_format2_blob(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    family = fundamental_discriminants(60)
+    run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
+    q = classify_discriminant(-39)
+    path = cache.cache_path(cache_dir, q)
+    fresh = path.read_bytes()
+    group = class_group(q)
+    path.write_bytes(_format2_blob(group, build_w_table(group, 100)))
+    with pytest.raises(cache.CacheError, match="version 2"):
+        cache.load_entry(path)
+    code, out, err = run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
+    assert code == 0
+    assert out == f"tabulated 1 blob(s), reused {len(family) - 1}\n"
+    assert len(err.splitlines()) == 1 and err.startswith("warning:") and "version 2" in err
+    assert path.read_bytes() == fresh
 
 
 def test_tabulate_with_larger_N_rewrites_every_blob(tmp_path, capsys):
