@@ -1,8 +1,10 @@
 """Integer arithmetic primitives shared by the whole package.
 
-Kronecker symbols, classification and enumeration of negative fundamental
-discriminants, and a segmented smallest-prime-factor sieve from which the
-von Mangoldt function, tau and mu are derived.  Everything operates on
+Kronecker symbols, trial-division factorisation, classification and
+enumeration of negative fundamental discriminants, one sieve of
+Eratosthenes (a byte per entry, read-only once built and shared by the
+scans), the prime-power support of the von Mangoldt function, and the
+Dirichlet pair index of the identity checks.  Everything operates on
 plain Python integers or numpy arrays; all quantities fit in signed 64-bit
 integers at the scales this package targets (|q| <= 1e6, n <= 1e8).
 """
@@ -366,102 +368,32 @@ def prime_power_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return n_arr, l_arr
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SieveTables:
-    """Smallest-prime-factor table for 2..limit with derived functions.
+    """Read-only primality flags for 0..limit, shared by every scan thread.
 
-    Immutable after construction; factorisation via spf is total and exact
-    for every n <= limit, and Lambda(n) is reported as a (p, exponent) pair
-    so that log p is materialised only at use sites.
+    flags[n] is True iff n is prime; the scans gather it at lattice values
+    without a copy.  The sorted primes are derived on first use.
     """
 
-    limit: int
-    spf: np.ndarray
-    primes: np.ndarray  # every prime <= limit, ascending, int64
+    flags: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        self._check(n)
-        return n >= 2 and int(self.spf[n]) == n
+    @property
+    def limit(self) -> int:
+        return self.flags.size - 1
 
-    def prime_count(self, x: float) -> int:
-        """pi(x) for x <= limit."""
-        if x > self.limit:
-            raise ValueError("x beyond sieve limit")
-        return int(np.searchsorted(self.primes, x, side="right"))
-
-    def factor(self, n: int) -> list[tuple[int, int]]:
-        self._check(n)
-        out: list[tuple[int, int]] = []
-        while n > 1:
-            p = int(self.spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
-    def mangoldt_pair(self, n: int) -> tuple[int, int] | None:
-        """(p, e) with n = p^e if n is a prime power, else None."""
-        self._check(n)
-        if n < 2:
-            return None
-        p = int(self.spf[n])
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        return (p, e) if n == 1 else None
-
-    def mangoldt(self, n: int) -> float:
-        pe = self.mangoldt_pair(n)
-        return math.log(pe[0]) if pe else 0.0
-
-    def tau(self, n: int) -> int:
-        return math.prod(e + 1 for _, e in self.factor(n))
-
-    def mu(self, n: int) -> int:
-        fac = self.factor(n)
-        if any(e > 1 for _, e in fac):
-            return 0
-        return -1 if len(fac) % 2 else 1
-
-    def _check(self, n: int) -> None:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range 1..{self.limit}")
-
-
-_SEGMENT = 1 << 20  # sieve entries per marking segment of build_sieve
+    @cached_property
+    def primes(self) -> np.ndarray:
+        """Every prime <= limit, ascending, as a read-only int64 array."""
+        ps = np.flatnonzero(self.flags).astype(np.int64, copy=False)
+        ps.flags.writeable = False
+        return ps
 
 
 def build_sieve(limit: int) -> SieveTables:
-    """Build SieveTables up to limit with a segmented marking pass.
-
-    Segments keep the marking cache-local; the spf array itself is the
-    O(limit) output and is shared read-only afterwards.  The least-prime
-    and x^2 + n y^2 searches use prime_flags instead: at MAX_X = 1e8 its
-    one byte per entry is about 100 MB, where spf's four would be 400 MB.
-    """
+    """The prime_flags table for 0..limit, frozen read-only; one byte per entry."""
     if limit < 2:
         raise ValueError("sieve limit must be at least 2")
-    dtype = np.int32 if limit < 2**31 else np.int64
-    spf = np.zeros(limit + 1, dtype=dtype)
-    base = _small_primes(math.isqrt(limit))
-    for lo in range(2, limit + 1, _SEGMENT):
-        hi = min(limit + 1, lo + _SEGMENT)
-        for p in base.tolist():
-            start = max(p * p, ((lo + p - 1) // p) * p)
-            if start >= hi:
-                continue
-            seg = spf[start:hi:p]
-            seg[seg == 0] = p
-    # remaining unmarked entries >= 2 are prime
-    chunk = 1 << 22
-    found = []
-    for lo in range(2, limit + 1, chunk):
-        hi = min(limit + 1, lo + chunk)
-        seg = spf[lo:hi]
-        idx = np.flatnonzero(seg == 0)
-        seg[idx] = (idx + lo).astype(dtype)
-        found.append((idx + lo).astype(np.int64, copy=False))
-    return SieveTables(limit=limit, spf=spf, primes=np.concatenate(found))
+    flags = prime_flags(limit)
+    flags.flags.writeable = False
+    return SieveTables(flags)

@@ -14,13 +14,15 @@ Nothing derived from the forms is stored: the composition table, orders,
 cyclic decomposition and coords of a loaded group are computed by
 `FormClassGroup` when first asked for, exactly as for a group built from
 scratch.  A bad magic, another format version, a checksum failure, a
-length that does not match the header, an unknown width code or a form
-that is not a reduced form of discriminant q surfaces as CacheError so
+length that does not match the header, an unknown width code, a form
+that is not a reduced form of discriminant q, or forms that are not all
+h(q) classes in ascending (a, |b|, b < 0) order surfaces as CacheError so
 callers can rebuild.  A version bump invalidates all existing blobs.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
@@ -31,7 +33,7 @@ import numpy as np
 
 from .arith import Discriminant, classify_discriminant
 from .characters import WTable, build_w_table
-from .forms import FormClassGroup, QuadForm, class_group
+from .forms import FormClassGroup, QuadForm, class_group, class_number
 
 __all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_usable", "load_or_build"]
 
@@ -127,6 +129,11 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable | None]:
     classes = tuple(QuadForm(*row) for row in forms.reshape(h, 3).tolist())
     if any(f.disc != q_value or not f.is_reduced for f in classes):
         raise CacheError("cached forms do not match the discriminant")
+    # distinct reduced forms, h(q) of them: every class, once, in the order
+    # class_group sorts them, which puts the principal form first
+    keys = [(f.a, abs(f.b), f.b < 0) for f in classes]
+    if h != class_number(q.abs_q) or any(k0 >= k1 for k0, k1 in itertools.pairwise(keys)):
+        raise CacheError("cached forms are not the classes of the discriminant in order")
     table = None
     if n_limit:
         w = np.frombuffer(body, dtype=_WIDTHS[code], count=h * (n_limit + 1), offset=w_at)

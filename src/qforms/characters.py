@@ -178,17 +178,10 @@ def _build_w_multiplicative(group: FormClassGroup, N: int) -> WTable:
     table = group.composition
     w = np.zeros((h, N + 1), dtype=np.int64)
     w[group.principal_index, 1] = 1
-    spf = arith.build_sieve(max(N, 2)).spf
     cache: dict[tuple[int, int], np.ndarray] = {}
     for n in range(2, N + 1):
-        m = n
         vec = None
-        while m > 1:
-            p = int(spf[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
+        for p, e in arith.factorize(n):
             pv = cache.get((p, e))
             if pv is None:
                 pv = _prime_power_weights(group, p, e)

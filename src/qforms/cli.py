@@ -23,6 +23,7 @@ from .stats import StatConfig
 MAX_X = 100_000_000
 MAX_Q = 1_000_000
 MAX_TABLE_N = 10_000_000
+MAX_THREADS = 64  # the scan starts up to this many OS threads
 
 
 class UsageError(Exception):
@@ -58,6 +59,8 @@ class RunConfig:
                 raise UsageError(f"{name.replace('_', '-')} must be positive")
         if getattr(a, "cap", None) is not None and a.cap > MAX_X:
             raise UsageError(f"cap exceeds {MAX_X}")
+        if getattr(a, "threads", None) is not None and a.threads > MAX_THREADS:
+            raise UsageError(f"threads={a.threads} exceeds cap {MAX_THREADS}")
         if getattr(a, "c3", None) is not None and a.c3 <= 0:
             raise UsageError("c3 must be positive")
 

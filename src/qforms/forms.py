@@ -486,9 +486,17 @@ def _half_lattice_values(f: QuadForm, limit: int, M: int = 1):
     a, b, c = f.a, f.b, f.c
     for r0, r1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size]):
         cnt = n[r0:r1]
-        ys = np.repeat(y[r0:r1], cnt)
-        xs = np.arange(M * starts[r0], M * ends[r1 - 1], M) - np.repeat(shift[r0:r1], cnt)
-        yield xs * (a * xs + b * ys) + c * ys * ys
+        rows = y[r0:r1]
+        # in place, with b y and c y^2 repeated per row: at most three
+        # chunk-sized arrays live at once, few enough that the allocator
+        # reuses their pages instead of faulting in fresh ones per chunk
+        xs = np.arange(M * starts[r0], M * ends[r1 - 1], M)
+        xs -= np.repeat(shift[r0:r1], cnt)
+        vals = a * xs
+        vals += np.repeat(b * rows, cnt)
+        vals *= xs
+        vals += np.repeat(c * rows * rows, cnt)
+        yield vals
 
 
 def value_counts(f: QuadForm, limit: int) -> np.ndarray:

@@ -34,7 +34,6 @@ __all__ = [
     "li",
     "pi_repr",
     "pi_repr_all",
-    "gather_flags",
     "psi_k",
     "psi_k_chi",
     "discrepancy_E_k",
@@ -128,35 +127,19 @@ _SMALL_PRIMES = (2, 3)
 _MODULUS = math.prod(_SMALL_PRIMES)
 
 
-def gather_flags(sieve: SieveTables, X: float) -> np.ndarray:
-    """Read-only flags[n] iff n is a prime >= 5, for 0 <= n <= X.
-
-    Built once from sieve.primes and shared by every pi_repr_all call of a
-    scan, threads included.
-    """
-    limit = int(X)
-    ps = sieve.primes
-    flags = np.zeros(limit + 1, dtype=bool)
-    flags[ps[: np.searchsorted(ps, limit, side="right")]] = True
-    flags[: max(_SMALL_PRIMES) + 1] = False
-    flags.flags.writeable = False
-    return flags
-
-
 def _small_primes_represented(f: QuadForm, limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit and representation_count(f, p) > 0]
 
 
-def pi_repr_all(
-    X: float, group: FormClassGroup, sieve: SieveTables, flags: np.ndarray | None = None
-) -> np.ndarray:
+def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
     """pi(X; q, C) for every class C: primes p <= X represented by C.
 
-    Primes p >= 5 are counted by gathering flags (gather_flags(sieve, X),
-    built here unless the caller shares one) at the values of the class's
-    form on the half lattice, stepping only over points with
-    gcd(f(x, y), 6) = 1.  A prime p lies on w(q)/2 = u half-lattice points
-    per ideal of norm p in C: one ideal if p ramifies, and for a split p
+    Primes p >= 5 are counted by gathering sieve.flags, read-only and
+    shared by every call, at the values of the class's form on the half
+    lattice, stepping only over points with gcd(f(x, y), 6) = 1; as no
+    value is even or a multiple of 3, the flags need no copy with 2 and 3
+    cleared.  A prime p lies on w(q)/2 = u half-lattice points per ideal
+    of norm p in C: one ideal if p ramifies, and for a split p
     one in a non-ambiguous class (its conjugate lies in C^-1 != C) but two
     in an ambiguous one.  So pi = hits/u for C != C^-1, and
     pi = (hits/u + ram_C)/2 for C = C^-1, with ram_C the ramified primes
@@ -170,8 +153,6 @@ def pi_repr_all(
     out = np.zeros(group.h, dtype=np.int64)
     if limit < 2:
         return out
-    if flags is None:
-        flags = gather_flags(sieve, limit)
     u = w_units(group.q) // 2
     ramified = [p for p, _ in arith.factorize(group.q.abs_q) if 5 <= p <= limit]
     # (a, b, c) and (a, -b, c) represent the same integers (x -> -x), so
@@ -181,7 +162,7 @@ def pi_repr_all(
         key = (f.a, abs(f.b), f.c)
         if key not in counts:
             hits = sum(
-                int(np.count_nonzero(flags[vals]))
+                int(np.count_nonzero(sieve.flags[vals]))
                 for vals in _half_lattice_values(f, limit, _MODULUS)
             )
             ideals, rem = divmod(hits, u)
@@ -379,11 +360,10 @@ def _scan(
         raise ValueError("X beyond sieve limit")
     qs = arith.fundamental_discriminants(Q)
     li_x = li(float(X), cfg.li_tol)
-    flags = gather_flags(sieve, X)
 
     def work(q: Discriminant) -> QRecord:
         group = group_loader(q)
-        pis = pi_repr_all(X, group, sieve, flags)
+        pis = pi_repr_all(X, group, sieve)
         devs = [
             abs(float(pis[i]) - li_x / (group.e[i] * group.h))
             for i in range(group.h)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qforms.arith import (
     kronecker,
     prime_power_table,
 )
+from qforms.forms import class_group
+from qforms.stats import pi_repr_all
 
 FUNDAMENTALS_1K = [d.q for d in fundamental_discriminants(1000)]
 
@@ -220,62 +223,70 @@ def _primes_trial(limit):
 
 
 def test_sieve_prime_count(sieve_10k):
-    assert sieve_10k.prime_count(100) == 25
+    assert np.count_nonzero(sieve_10k.flags[:101]) == 25
     assert sieve_10k.primes[:5].tolist() == [2, 3, 5, 7, 11]
     assert sieve_10k.primes.tolist() == _primes_trial(10_000)
 
 
-def test_sieve_mangoldt(sieve_10k):
-    assert sieve_10k.mangoldt_pair(6) is None
-    assert sieve_10k.mangoldt(6) == 0.0
-    assert sieve_10k.mangoldt_pair(8) == (2, 3)
-    assert sieve_10k.mangoldt(8) == math.log(2)
-    assert sieve_10k.mangoldt_pair(97) == (97, 1)
-    assert sieve_10k.mangoldt_pair(1) is None
+@pytest.mark.parametrize("limit", [2, 3, 4, 97, 1000, 1024, 1025])
+def test_sieve_primes_match_trial_division(limit):
+    s = build_sieve(limit)
+    assert s.limit == limit and s.flags.size == limit + 1
+    assert s.primes.dtype == np.int64
+    assert s.primes.tolist() == _primes_trial(limit)
+    assert np.flatnonzero(s.flags).tolist() == _primes_trial(limit)
 
 
-def test_sieve_factor_tau_mu(sieve_10k):
+def test_sieve_tables_are_read_only():
+    s = build_sieve(100)
+    for arr in (s.flags, s.primes):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[4] = 1
+    assert s.primes is s.primes  # derived once, on first use
+
+
+def test_sieve_memory_is_one_byte_per_entry():
+    X = 10**7
+    tracemalloc.start()
+    try:
+        build_sieve(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < X + 2**20, peak
+
+
+def test_sieve_mangoldt():
+    # the support of Lambda: 8 = 2^3 and 97 carry log p, 1 and 6 nothing
+    ns, logs = prime_power_table(100)
+    lam = dict(zip(ns.tolist(), logs.tolist()))
+    assert 6 not in lam and 1 not in lam
+    assert lam[8] == math.log(2)
+    assert lam[97] == math.log(97)
+
+
+PRIMES_2K = set(_primes_trial(2000))
+
+
+def test_sieve_factor_tau_mu():
     for n in range(1, 2001):
-        fac = sieve_10k.factor(n)
+        fac = arith.factorize(n)
         assert math.prod(p**e for p, e in fac) == n
-        assert all(p <= q for (p, _), (q, _) in zip(fac, fac[1:]))
+        assert all(p < q for (p, _), (q, _) in zip(fac, fac[1:]))
+        assert all(e >= 1 and p in PRIMES_2K for p, e in fac)
         tau_brute = sum(1 for d in range(1, n + 1) if n % d == 0)
-        assert sieve_10k.tau(n) == tau_brute
-        if any(e > 1 for _, e in fac):
-            assert sieve_10k.mu(n) == 0
-        else:
-            assert sieve_10k.mu(n) == (-1) ** len(fac)
+        assert len(arith.divisors(n)) == tau_brute
 
 
 def test_sieve_rejects_bad_input():
     with pytest.raises(ValueError):
         build_sieve(1)
     s = build_sieve(100)
-    with pytest.raises(ValueError):
-        s.factor(101)
+    with pytest.raises(ValueError, match="beyond sieve limit"):
+        pi_repr_all(101, class_group(-23), s)
 
 
-def test_segmentation_is_transparent(monkeypatch):
-    a = build_sieve(100_000)
-    monkeypatch.setattr(arith, "_SEGMENT", 1 << 12)
-    b = build_sieve(100_000)
-    assert np.array_equal(a.spf, b.spf)
-    assert np.array_equal(a.primes, b.primes)
-
-
-@pytest.mark.parametrize("segment", [16, 97, 1 << 10])
-def test_sieve_primes_match_prime_flags_at_segment_boundaries(monkeypatch, segment):
-    # the first segment starts at 2, so segment k ends just before 2 + k * segment
-    monkeypatch.setattr(arith, "_SEGMENT", segment)
-    for k in (1, 2, 5):
-        for n in (k * segment - 1, k * segment, k * segment + 1, k * segment + 2):
-            s = build_sieve(n)
-            assert s.primes.dtype == np.int64
-            assert np.array_equal(s.primes, np.flatnonzero(arith.prime_flags(n))), n
-            assert np.array_equal(s.spf[s.primes], s.primes)
-
-
-def test_prime_power_table(sieve_10k):
+def test_prime_power_table():
     # reachable from discrepancy_E_k with int(X) < 2, negative X included
     for limit in (-5, -1, 0, 1):
         assert arith._small_primes(limit).size == 0
@@ -283,11 +294,9 @@ def test_prime_power_table(sieve_10k):
         assert ns.size == 0 and logs.size == 0
     assert prime_power_table(2)[0].tolist() == [2]
     ns, logs = prime_power_table(1000)
-    assert ns.tolist() == sorted(
-        n for n in range(2, 1001) if sieve_10k.mangoldt_pair(n) is not None
-    )
+    assert ns.tolist() == [n for n in range(2, 1001) if len(arith.factorize(n)) == 1]
     for n, lg in zip(ns.tolist(), logs.tolist()):
-        p, _ = sieve_10k.mangoldt_pair(n)
+        [(p, _)] = arith.factorize(n)
         assert lg == pytest.approx(math.log(p), abs=0)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,10 +11,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from qforms import cache, forms
+from qforms import cache, forms, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import WTable, build_w_table
-from qforms.cli import main
+from qforms.cli import MAX_THREADS, RunConfig, UsageError, main
 from qforms.forms import QuadForm, class_group
 
 
@@ -75,7 +76,20 @@ CORRUPTIONS = {
     "negative N": "implausible",
     "form not reduced": "do not match the discriminant",
     "form of another discriminant": "do not match the discriminant",
+    "subgroup": "not the classes",
+    "principal not first": "not the classes",
 }
+
+# q = -39 has the classes (1, 1, 10), (2, 1, 5), (2, -1, 5), (3, 3, 4);
+# {(1, 1, 10), (3, 3, 4)} is a subgroup, so its blob is self-consistent
+REORDERED = {"subgroup": [0, 3], "principal not first": [1, 0, 2, 3]}
+
+
+def _save_reordered(path, group, table, order):
+    """A checksum-valid blob of group's classes and w rows taken in `order`."""
+    q = group.q
+    sub = forms.FormClassGroup(q, tuple(group.classes[i] for i in order))
+    cache.save_entry(path, sub, WTable(q, table.N, table.w[order]))
 
 
 @pytest.mark.parametrize("corruption", list(CORRUPTIONS))
@@ -108,6 +122,9 @@ def test_corrupt_blob_is_rejected_and_rebuilt(tmp_path, corruption):
     elif corruption == "negative N":
         body[table_at : table_at + 8] = (-1).to_bytes(8, "little", signed=True)
         blob = _reseal(body[:w_at])
+    elif corruption in REORDERED:
+        _save_reordered(path, group, table, REORDERED[corruption])
+        blob = path.read_bytes()
     else:
         assert group.classes[1] == QuadForm(2, 1, 5)
         # (5, 1, 2) has discriminant -39 but is not reduced; (2, 1, 6) is
@@ -482,6 +499,35 @@ def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):
     assert code == 0
     assert "h = 3" in out
     assert "warning:" in err
+
+
+def test_classgroup_rebuilds_a_subgroup_blob(tmp_path, capsys):
+    q = classify_discriminant(-39)
+    group = class_group(q)
+    _save_reordered(
+        cache.cache_path(tmp_path, q), group, build_w_table(group, 50), REORDERED["subgroup"]
+    )
+    code, out, err = run_cli(capsys, "classgroup", "-q", "-39", "--cache", str(tmp_path))
+    assert code == 0
+    assert "h = 4" in out and "C4" in out
+    assert err.count("rebuilt") == 1
+
+
+def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
+    # refused by RunConfig before the scan starts; the executor is replaced
+    # so that no thread could start even if the check were missing
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("thread pool started")
+
+    monkeypatch.setattr(stats, "ThreadPoolExecutor", refuse)
+    for command in ("scan-bv", "scan-bdh"):
+        code, _, err = run_cli(
+            capsys, command, "-Q", "50", "-X", "1000", "--threads", str(10**9)
+        )
+        assert code == 1 and "exceeds cap" in err, err
+    RunConfig(argparse.Namespace(threads=MAX_THREADS))
+    with pytest.raises(UsageError, match="exceeds cap"):
+        RunConfig(argparse.Namespace(threads=MAX_THREADS + 1))
 
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):

@@ -45,7 +45,7 @@ def test_lhs_delta_counts_characters():
     assert sieve_lhs(23, 100, coeffs) == pytest.approx(2.0, abs=1e-9)
 
 
-def test_lhs_delta_bounded_by_tau(sieve_10k):
+def test_lhs_delta_bounded_by_tau():
     rows = complex_character_lambdas(100, 200)
     for n in (2, 12, 60, 144):
         coeffs = np.zeros(201)
@@ -53,7 +53,7 @@ def test_lhs_delta_bounded_by_tau(sieve_10k):
         lhs = sieve_lhs(100, 200, coeffs)
         direct = float((np.abs(rows[:, n]) ** 2).sum())
         assert lhs == pytest.approx(direct, rel=1e-12)
-        assert lhs <= sieve_10k.tau(n) ** 2 * rows.shape[0] + 1e-9
+        assert lhs <= len(divisors(n)) ** 2 * rows.shape[0] + 1e-9
 
 
 def test_lhs_validates_length():
