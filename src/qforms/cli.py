@@ -217,7 +217,7 @@ def _cmd_least_prime(args) -> int:
     for i in indices:
         if not 0 <= i < group.h:
             raise UsageError(f"class index {i} outside 0..{group.h - 1}")
-    results = [stats.least_prime(group, i, cap=args.cap) for i in indices]
+    results = stats.least_primes(group, indices, cap=args.cap)
     if args.format == "json":
         payload = {
             "q": group.q.q,

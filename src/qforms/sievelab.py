@@ -3,8 +3,11 @@
 The mean-square character sum over the family of complex class group
 characters of all scan discriminants |q| <= Q is compared against the
 reference envelope (N (log N)^3 + sqrt(N) (log N) Q^(5/2+eps)) * sum |a_n|^2
-as a ratio experiment; the Hecke product relation and the real-character
-convolution identity are verified exactly over scan ranges.
+as a ratio experiment.  The experiment forms no lambda row: it takes the
+class sums S_C = sum_n a_n w(C, n) of a block of trials from one matrix
+product, and character orthogonality turns them into the mean square, an
+exact integer for integer coefficients.  The Hecke product relation and the
+real-character convolution identity are verified exactly over scan ranges.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .characters import (
     lambda_table,
     lambda_table_int,
 )
-from .forms import class_group
+from .forms import FormClassGroup, class_group
 from .serialize import canonical_json
 
 __all__ = [
@@ -107,7 +110,8 @@ def complex_character_lambdas(Q: float, N: int) -> np.ndarray:
 
     The family deliberately includes would-be exceptional discriminants;
     the reference inequality has no exceptional-set exclusion.  Shape is
-    (number of characters, N + 1); possibly zero rows.
+    (number of characters, N + 1); possibly zero rows.  The experiment
+    itself works from the class sums instead (see run_sieve_experiment).
     """
     rows = []
     for q in arith.fundamental_discriminants(Q):
@@ -123,23 +127,78 @@ def complex_character_lambdas(Q: float, N: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+# Trials whose coefficients are drawn and summed in one matrix product; the
+# block, not the number of trials, bounds the coefficient memory.
+_TRIAL_BLOCK = 16
+
+
+def _inverse_pairs(group: FormClassGroup) -> tuple[list[int], np.ndarray]:
+    """One class index per pair {C, C^-1} and the size of each pair."""
+    reps = [i for i in range(group.h) if group.inverse(i) >= i]
+    sizes = np.array([2 - group.classes[i].is_ambiguous for i in reps], dtype=np.float64)
+    return reps, sizes
+
+
+@dataclass(frozen=True)
+class _ClassSums:
+    """The family's class sums S_C = sum_n a_n w(C, n) and the lhs they give.
+
+    rows holds w(C, n) for n = 1..N, one row per pair {C, C^-1} (the two
+    classes have the same weights, hence the same sum) of every group with a
+    complex character; weights[r] = h |{C, C^-1}|.  real holds, per group,
+    its slice of rows and the matrix |{C, C^-1}| chi(C) over its real
+    characters chi (values +-1), trivial character included.
+    """
+
+    rows: np.ndarray
+    weights: np.ndarray
+    real: list[tuple[slice, np.ndarray]]
+
+    def lhs(self, coeffs: np.ndarray) -> np.ndarray:
+        """The lhs for each trial; coeffs has shape (N, trials), a_n in row n - 1.
+
+        By orthogonality, the complex characters of a group give
+        sum_chi |sum_C chi(C) S_C|^2 = h sum_C S_C^2 - sum_{chi real} (sum_C chi(C) S_C)^2.
+        """
+        sums = self.rows @ coeffs
+        out = self.weights @ sums**2
+        for rows, chis in self.real:
+            out -= ((chis @ sums[rows]) ** 2).sum(axis=0)
+        return out
+
+
+def _class_sums(Q: float, N: int) -> _ClassSums:
+    groups = []
+    for q in arith.fundamental_discriminants(Q):
+        group = class_group(q)
+        if all(f.is_ambiguous for f in group.classes):
+            continue  # every class its own inverse: all characters real
+        groups.append((group, *_inverse_pairs(group)))
+    total = sum(len(reps) for _, reps, _ in groups)
+    rows = np.empty((total, N))
+    weights = np.empty(total)
+    real = []
+    start = 0
+    for group, reps, sizes in groups:
+        span = slice(start, start + len(reps))
+        rows[span] = build_w_table(group, N).w[reps, 1:]
+        weights[span] = group.h * sizes
+        chis = [chi.values.real[reps] for chi in characters(group) if chi.is_real]
+        real.append((span, np.reshape(chis, (-1, len(reps))) * sizes))
+        start = span.stop
+    return _ClassSums(rows, weights, real)
+
+
 def sieve_lhs(Q: float, N: int, coeffs: np.ndarray) -> float:
     """sum over complex characters of |sum_n a_n lambda_chi(n)|^2.
 
-    coeffs has length N + 1 with slot 0 ignored (a_n = coeffs[n]).
+    coeffs has length N + 1 with slot 0 ignored (a_n = coeffs[n]).  Computed
+    from the class sums as in run_sieve_experiment.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (N + 1,):
         raise ValueError("coeffs must have length N + 1 (slot 0 unused)")
-    rows = complex_character_lambdas(Q, N)
-    return _lhs_from_rows(rows, coeffs)
-
-
-def _lhs_from_rows(rows: np.ndarray, coeffs: np.ndarray) -> float:
-    if rows.shape[0] == 0:
-        return 0.0
-    sums = rows[:, 1:] @ coeffs[1:].astype(np.complex128)
-    return float((np.abs(sums) ** 2).sum())
+    return float(_class_sums(Q, N).lhs(coeffs[1:, None].astype(np.float64))[0])
 
 
 def ratio_denominator(Q: float, N: int, eps: float, coeff_square_sum: float) -> float:
@@ -149,24 +208,40 @@ def ratio_denominator(Q: float, N: int, eps: float, coeff_square_sum: float) -> 
 
 
 def run_sieve_experiment(cfg: SieveExperimentConfig) -> SieveExperiment:
-    """Run the configured trials; deterministic given the seed."""
-    rows = complex_character_lambdas(cfg.Q, cfg.N)
+    """Run the configured trials; deterministic given the seed.
+
+    No lambda row is formed.  By linearity sum_n a_n lambda_chi(n) =
+    sum_C chi(C) S_C with the class sums S_C = sum_n a_n w(C, n), and the
+    sums of a block of _TRIAL_BLOCK trials come from one float64 product of
+    the family's w rows with the block's coefficients (_ClassSums.lhs), so
+    memory does not grow with the number of trials.  Each trial draws its
+    coefficients from the generator in turn, so a seed gives the same
+    coefficients whatever the block.
+
+    Exactness: with integer coefficients (every coefficient source) each S_C
+    is an exact integer whatever the BLAS blocking (every partial sum is an
+    integer of size at most sum_n |a_n| w(C, n)), and the lhs is an exact
+    integer while h sum_C S_C^2 < 2^53, so the ratios do not depend on the
+    BLAS kernel or its thread count.
+    """
+    sums = _class_sums(cfg.Q, cfg.N)
     rng = np.random.default_rng(cfg.seed)
     ratios = []
-    for _ in range(cfg.trials):
-        a = np.zeros(cfg.N + 1)
-        if cfg.coeff_source == "rademacher":
-            a[1:] = rng.integers(0, 2, size=cfg.N) * 2 - 1
-        elif cfg.coeff_source == "ones":
-            a[1:] = 1.0
-        elif cfg.coeff_source == "delta":
-            a[cfg.delta_n] = 1.0
-        lhs = _lhs_from_rows(rows, a)
-        if lhs == 0.0:
-            ratios.append(0.0)
-            continue
-        ssum = float(a[1:] @ a[1:])
-        ratios.append(lhs / ratio_denominator(cfg.Q, cfg.N, cfg.eps, ssum))
+    for start in range(0, cfg.trials, _TRIAL_BLOCK):
+        block = np.zeros((min(_TRIAL_BLOCK, cfg.trials - start), cfg.N))
+        for a in block:  # a[n - 1] = a_n
+            if cfg.coeff_source == "rademacher":
+                a[:] = rng.integers(0, 2, size=cfg.N) * 2 - 1
+            elif cfg.coeff_source == "ones":
+                a[:] = 1.0
+            elif cfg.coeff_source == "delta":
+                a[cfg.delta_n - 1] = 1.0
+        for lhs, a in zip(sums.lhs(block.T), block):
+            if lhs == 0.0:
+                ratios.append(0.0)
+                continue
+            ssum = float(a @ a)
+            ratios.append(float(lhs) / ratio_denominator(cfg.Q, cfg.N, cfg.eps, ssum))
     return SieveExperiment(config=cfg, ratios=ratios, max_ratio=max(ratios))
 
 

@@ -46,6 +46,7 @@ __all__ = [
     "average_identity_gap",
     "LeastPrimeResult",
     "least_prime",
+    "least_primes",
     "X2NY2Result",
     "least_prime_x2ny2",
     "scan_exceptional_x2ny2",
@@ -470,33 +471,53 @@ class LeastPrimeResult:
     searched_to: int
 
 
-def least_prime(
-    group: FormClassGroup, c: int, cap: int = DEFAULT_SEARCH_CAP
-) -> LeastPrimeResult:
-    """Smallest prime represented by class c, by ascending scan.
+def least_primes(
+    group: FormClassGroup, indices: list[int], cap: int = DEFAULT_SEARCH_CAP
+) -> list[LeastPrimeResult]:
+    """Smallest prime represented by each class in indices, by ascending scan.
 
-    Within each bound, 2 and 3 are checked one by one and the primes p >= 5
-    gathered at the lattice points coprime to 6, as in pi_repr_all.  The
-    scan never extends past cap; an unsuccessful search reports status
-    "unresolved" rather than a wrong answer.
+    Every class steps through the same bounds, so one prime flag table per
+    bound serves all the classes still unresolved there.  Within each bound,
+    2 and 3 are checked one by one and the primes p >= 5 gathered at the
+    lattice points coprime to 6, as in pi_repr_all.  The scan never extends
+    past cap; an unsuccessful search reports status "unresolved" rather than
+    a wrong answer.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
-    f = group.classes[c]
+    results: dict[int, LeastPrimeResult] = {}
+    pending = list(indices)
     bound = 1 << 10
-    while True:
+    while pending:
         bound = min(bound, cap)
-        small = _small_primes_represented(f, bound)
-        if small:
-            return LeastPrimeResult(c, small[0], "found", bound)
-        flags = arith.prime_flags(bound)
-        chunks = (vals[flags[vals]] for vals in _half_lattice_values(f, bound, _MODULUS))
-        least = [int(hits.min()) for hits in chunks if hits.size]
-        if least:
-            return LeastPrimeResult(c, min(least), "found", bound)
-        if bound >= cap:
-            return LeastPrimeResult(c, None, "unresolved", bound)
+        flags = None
+        unresolved = []
+        for c in pending:
+            f = group.classes[c]
+            small = _small_primes_represented(f, bound)
+            if small:
+                results[c] = LeastPrimeResult(c, small[0], "found", bound)
+                continue
+            if flags is None:
+                flags = arith.prime_flags(bound)
+            chunks = (vals[flags[vals]] for vals in _half_lattice_values(f, bound, _MODULUS))
+            least = [int(hits.min()) for hits in chunks if hits.size]
+            if least:
+                results[c] = LeastPrimeResult(c, min(least), "found", bound)
+            elif bound >= cap:
+                results[c] = LeastPrimeResult(c, None, "unresolved", bound)
+            else:
+                unresolved.append(c)
+        pending = unresolved
         bound <<= 3
+    return [results[c] for c in indices]
+
+
+def least_prime(
+    group: FormClassGroup, c: int, cap: int = DEFAULT_SEARCH_CAP
+) -> LeastPrimeResult:
+    """least_primes for the one class c."""
+    return least_primes(group, [c], cap)[0]
 
 
 @dataclass(frozen=True)

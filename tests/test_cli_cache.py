@@ -3,10 +3,12 @@ import hashlib
 import json
 import os
 import struct
+import subprocess
 import sys
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,30 @@ def test_scan_golden_output(capsys, command, threads):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command]
+
+
+# sha256 of the stdout of `qforms sieve-ratio -Q 300 -N 10000 --trials 100
+# --seed 5 --coeffs <source>`: the class sums are exact integers, so the bytes do not
+# depend on the BLAS kernel or its thread count
+SIEVE_RATIO_GOLDEN = {
+    "rademacher": "118fd41bac847181421f42b09231bbf172a1ebfe2280cb96a56de6323b6ea79f",
+    "ones": "e11cac7adda399475c7d38b40f6daf29c3d297701c2e94f58435df30dca46fb6",
+}
+
+
+@pytest.mark.parametrize("source", sorted(SIEVE_RATIO_GOLDEN))
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_sieve_ratio_golden_output(source, blas_threads):
+    # BLAS reads its thread count at import, hence a fresh process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    argv = ["sieve-ratio", "-Q", "300", "-N", "10000", "--trials", "100", "--seed", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforms", *argv, "--coeffs", source],
+        capture_output=True, env=env, check=True, timeout=120,
+    )
+    assert hashlib.sha256(proc.stdout).hexdigest() == SIEVE_RATIO_GOLDEN[source]
 
 
 def test_scan_bdh_runs(capsys):

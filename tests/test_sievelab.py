@@ -1,6 +1,10 @@
+import functools
 import json
 import math
+import runpy
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +87,24 @@ def test_experiment_json_fields():
     assert payload["max_ratio"] == max(payload["ratios"])
 
 
+def _run_script(monkeypatch, capsys, *args):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_sieve_ratio.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *args])
+    runpy.run_path(str(script), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+def test_sieve_ratio_script(capsys, monkeypatch):
+    doc, summary = _run_script(monkeypatch, capsys, "--preset", "baseline")
+    assert json.loads(doc)["max_ratio"] == sievelab.LS_BASELINE
+    baseline = f"{sievelab.LS_BASELINE:.6e}"
+    assert summary == f"max ratio {baseline}  (recorded baseline {baseline})"
+    doc, _ = _run_script(monkeypatch, capsys, "-Q", "30", "-N", "200", "--trials", "3")
+    payload = json.loads(doc)
+    assert payload["meta"]["Q"] == 30 and payload["meta"]["N"] == 200
+    assert len(payload["ratios"]) == 3 and payload["max_ratio"] == max(payload["ratios"])
+
+
 def test_ratio_denominator_monotone():
     assert ratio_denominator(100, 10_000, 0.1, 1.0) > ratio_denominator(
         10, 10_000, 0.1, 1.0
@@ -99,6 +121,133 @@ def test_config_validation():
         SieveExperimentConfig(Q=10, N=10, coeff_source="bogus")
     with pytest.raises(ValueError):
         SieveExperimentConfig(Q=10, N=10, delta_n=11, coeff_source="delta")
+
+
+# ---------------------------------------------------------------------------
+# the experiment from class sums against the lambda-row path it replaced
+
+
+def _lhs_from_rows(rows, coeffs):
+    """The slow path: one complex lambda row per complex character."""
+    if rows.shape[0] == 0:
+        return 0.0
+    sums = rows[:, 1:] @ coeffs[1:].astype(np.complex128)
+    return float((np.abs(sums) ** 2).sum())
+
+
+def _reference_ratios(cfg, rows):
+    rng = np.random.default_rng(cfg.seed)
+    ratios = []
+    for _ in range(cfg.trials):
+        a = np.zeros(cfg.N + 1)
+        if cfg.coeff_source == "rademacher":
+            a[1:] = rng.integers(0, 2, size=cfg.N) * 2 - 1
+        elif cfg.coeff_source == "ones":
+            a[1:] = 1.0
+        elif cfg.coeff_source == "delta":
+            a[cfg.delta_n] = 1.0
+        lhs = _lhs_from_rows(rows, a)
+        ssum = float(a[1:] @ a[1:])
+        ratios.append(0.0 if lhs == 0.0 else lhs / ratio_denominator(cfg.Q, cfg.N, cfg.eps, ssum))
+    return ratios
+
+
+SOURCES = ("rademacher", "ones", "zeros", "delta")
+# the complex path turns an exact zero (delta at an n where every complex
+# lambda vanishes) into residue near 1e-36; a nonzero lhs of integer
+# coefficients is at least 1, so its ratio is at least 1/denominator > 1e-13
+RATIO_FLOOR = 1e-24
+
+
+@functools.cache
+def _reference_rows(Q, N):
+    return complex_character_lambdas(Q, N)
+
+
+@pytest.mark.parametrize("Q", [10, 23, 60, 100, 300])
+@pytest.mark.parametrize("block", [1, 2, 3, None])
+def test_experiment_matches_lambda_rows(monkeypatch, Q, block):
+    if block is not None:
+        monkeypatch.setattr(sievelab, "_TRIAL_BLOCK", block)
+    N = 2000
+    rows = _reference_rows(Q, N)
+    for source in SOURCES:
+        cfg = SieveExperimentConfig(Q=Q, N=N, trials=5, coeff_source=source, delta_n=12, seed=Q)
+        expected = _reference_ratios(cfg, rows)
+        assert run_sieve_experiment(cfg).ratios == pytest.approx(
+            expected, rel=1e-12, abs=RATIO_FLOOR
+        ), source
+
+
+def _exact_lhs(Q, N, a):
+    """h sum_C S_C^2 - sum_{chi real} (sum_C chi(C) S_C)^2 over the family, in Python ints."""
+    total = 0
+    for q in fundamental_discriminants(Q):
+        group = class_group(q)
+        w = build_w_table(group, N).w.tolist()
+        sums = [sum(ai * wi for ai, wi in zip(a[1:], row[1:])) for row in w]
+        total += group.h * sum(s * s for s in sums)
+        for chi in characters(group):
+            if chi.is_real:
+                values = [int(v.real) for v in chi.values]
+                total -= sum(v * s for v, s in zip(values, sums)) ** 2
+    return total
+
+
+def test_lhs_is_exact_integer():
+    Q, N = 60, 400
+    rng = np.random.default_rng(3)
+    for a in (rng.integers(-3, 4, size=N + 1).tolist(), [0] + [1] * N):
+        exact = _exact_lhs(Q, N, a)
+        assert exact > 0
+        assert sieve_lhs(Q, N, np.array(a, dtype=np.float64)) == exact
+    cfg = SieveExperimentConfig(Q=Q, N=N, trials=3, seed=4)
+    rng = np.random.default_rng(cfg.seed)
+    for ratio in run_sieve_experiment(cfg).ratios:
+        a = [0] + (rng.integers(0, 2, size=N) * 2 - 1).tolist()
+        assert ratio == _exact_lhs(Q, N, a) / ratio_denominator(Q, N, cfg.eps, float(N))
+
+
+def _matches_reference(cfg):
+    expected = _reference_ratios(cfg, _reference_rows(cfg.Q, cfg.N))
+    ratios = run_sieve_experiment(cfg).ratios
+    return ratios == pytest.approx(expected, rel=1e-12, abs=RATIO_FLOOR)
+
+
+FAULT_CFG = SieveExperimentConfig(Q=60, N=500, trials=3, seed=1)
+
+
+def test_reference_catches_dropped_inverse_copy(monkeypatch):
+    assert _matches_reference(FAULT_CFG)
+    real = sievelab._inverse_pairs
+
+    def single_rows(group):
+        reps, sizes = real(group)
+        return reps, np.ones_like(sizes)  # C^-1 no longer counted with C
+
+    monkeypatch.setattr(sievelab, "_inverse_pairs", single_rows)
+    assert not _matches_reference(FAULT_CFG)
+
+
+def test_reference_catches_unsubtracted_trivial_character(monkeypatch):
+    assert _matches_reference(FAULT_CFG)
+    real = sievelab.characters
+    monkeypatch.setattr(sievelab, "characters", lambda g: [c for c in real(g) if not c.is_trivial])
+    assert not _matches_reference(FAULT_CFG)
+
+
+@pytest.mark.parametrize("trials", [100, 1000])
+def test_experiment_memory_bounded_in_trials(trials):
+    cfg = SieveExperimentConfig(Q=300, N=10_000, trials=trials, seed=5)
+    tracemalloc.start()
+    try:
+        run_sieve_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the pair rows alone are 231 x 10^4 doubles (17.6 MiB); the lambda rows
+    # of the complex characters were 280 x 10,001 complex doubles, held twice
+    assert peak < 24 * 2**20, peak
 
 
 def test_hecke_identity_spot_by_hand():

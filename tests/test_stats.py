@@ -18,6 +18,7 @@ from qforms.arith import classify_discriminant, fundamental_discriminants, krone
 from qforms.characters import build_w_table, characters
 from qforms.forms import class_group, representation_count, represented_mask
 from qforms.stats import (
+    LeastPrimeResult,
     StatConfig,
     bdh_statistic,
     bv_statistic,
@@ -26,6 +27,7 @@ from qforms.stats import (
     is_exceptional,
     least_prime,
     least_prime_x2ny2,
+    least_primes,
     li,
     pi_repr,
     psi_k,
@@ -572,6 +574,52 @@ def test_least_prime_attained(sieve_10k, monkeypatch):
                 assert representation_count(f, res.prime) > 0
                 below = sieve_10k.primes[sieve_10k.primes < res.prime]
                 assert not represented_mask(f, res.prime)[below].any(), (group.q.q, c, chunk)
+
+
+def _least_prime_reference(group, c, cap):
+    """One class at a time, each bound with its own prime table, the least
+    prime read off the full represented mask."""
+    f = group.classes[c]
+    bound = 1 << 10
+    while True:
+        bound = min(bound, cap)
+        primes = np.flatnonzero(arith.prime_flags(bound))
+        hits = primes[represented_mask(f, bound)[primes]]
+        if hits.size:
+            return LeastPrimeResult(c, int(hits[0]), "found", bound)
+        if bound >= cap:
+            return LeastPrimeResult(c, None, "unresolved", bound)
+        bound <<= 3
+
+
+@pytest.mark.parametrize("cap", [100, 5000, stats.DEFAULT_SEARCH_CAP])
+def test_least_primes_match_per_class_reference(cap):
+    qs = [d for d in range(-3, -501, -1) if arith.is_fundamental_discriminant(d)]
+    for q in qs:
+        group = class_group(q)
+        expected = [_least_prime_reference(group, c, cap) for c in range(group.h)]
+        assert least_primes(group, list(range(group.h)), cap) == expected, q
+        # classes out of order (for h = 1, one class twice)
+        assert least_primes(group, [2 % group.h, 0], cap) == [expected[2 % group.h], expected[0]]
+
+
+def test_least_prime_cli_builds_flags_once_per_bound(capsys, monkeypatch):
+    from qforms.cli import main
+
+    calls = []
+    real = arith.prime_flags
+
+    def counted(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(arith, "prime_flags", counted)
+    assert main(["least-prime", "-q", "-999995", "--format", "json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results) == class_group(-999995).h == 480
+    # the principal form x^2 + xy + 250000 y^2 represents no prime below
+    # 250001 > 2^16, so the scan runs to the bound 2^19
+    assert calls == [1 << 10, 1 << 13, 1 << 16, 1 << 19]
 
 
 def test_least_prime_cap():
