@@ -21,6 +21,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
+    "IdentityViolation",
     "kronecker",
     "is_squarefree",
     "factorize",
@@ -38,6 +39,10 @@ __all__ = [
     "prime_flags",
     "prime_power_table",
 ]
+
+
+class IdentityViolation(ArithmeticError):
+    """A mathematical identity that must hold internally failed to verify."""
 
 
 def kronecker(d: int, n: int) -> int:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import Discriminant, kronecker, kronecker_table
+from .arith import Discriminant, IdentityViolation, kronecker, kronecker_table
 from .forms import FormClassGroup, classes_representing, value_counts
 
 __all__ = [
@@ -35,10 +35,6 @@ __all__ = [
     "kronecker_factorize",
     "kronecker_convolution",
 ]
-
-
-class IdentityViolation(ArithmeticError):
-    """A mathematical identity that must hold internally failed to verify."""
 
 
 def w_units(q: Discriminant | int) -> int:

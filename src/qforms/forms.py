@@ -1,8 +1,10 @@
 """Binary quadratic form arithmetic.
 
 Reduction with an SL(2,Z) witness, Dirichlet composition via the united-forms
-congruence system, class group construction by exhaustive reduced-triple
-enumeration, and exact representation counting by lattice enumeration.
+congruence system, class groups from exhaustive reduced-triple enumeration
+with their structure from one polycyclic presentation and a Smith normal
+form (Cohen, A Course in Computational Algebraic Number Theory, 2.4 and
+5.4), and exact representation counting by lattice enumeration.
 Forms are integral, primitive and positive definite throughout; class groups
 are built for fundamental discriminants only (maximal orders).
 
@@ -20,15 +22,14 @@ of the points and every prime p >= 5.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .arith import Discriminant, classify_discriminant
+from .arith import Discriminant, IdentityViolation, classify_discriminant
 
 __all__ = [
     "QuadForm",
@@ -147,7 +148,7 @@ def _solve_linear_congruence(alpha: int, gamma: int, mod: int) -> tuple[int, int
     """Solutions x of alpha*x = gamma (mod mod) as a progression (r, m)."""
     g = math.gcd(alpha, mod)
     if gamma % g:
-        raise ArithmeticError("inconsistent congruence in composition")
+        raise IdentityViolation("inconsistent congruence in composition")
     m = mod // g
     if m == 1:
         return 0, 1
@@ -158,7 +159,7 @@ def _solve_linear_congruence(alpha: int, gamma: int, mod: int) -> tuple[int, int
 def _merge_progressions(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     g = math.gcd(m1, m2)
     if (r2 - r1) % g:
-        raise ArithmeticError("inconsistent congruence system in composition")
+        raise IdentityViolation("inconsistent congruence system in composition")
     lcm = m1 // g * m2
     t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g) if m2 > g else 0
     return (r1 + m1 * t) % lcm, lcm
@@ -186,7 +187,7 @@ def compose_forms(f1: QuadForm, f2: QuadForm) -> QuadForm:
     big_b, _ = _merge_progressions(r, m, r3, m3)
     quarter = big_b * big_b - D
     if quarter % (4 * big_a):
-        raise ArithmeticError("composition produced a non-integral form")
+        raise IdentityViolation("composition produced a non-integral form")
     reduced, _ = reduce_form(QuadForm(big_a, big_b, quarter // (4 * big_a)))
     return reduced
 
@@ -209,16 +210,14 @@ def class_number(abs_q: int) -> int:
     return sum(1 for _ in _reduced_triples(abs_q))
 
 
-_NOT_A_GROUP = "composition table is not a group table"
-
-
 class FormClassGroup:
     """The class group of a fundamental negative discriminant.
 
-    Holds the reduced class representatives (principal class first) and
-    derives the composition table, element orders, e(C) and a cyclic
-    decomposition with divisibility chain d_1 | d_2 | ... | d_r on demand.
-    Immutable once the derived tables are materialised.
+    Holds the reduced class representatives (principal class first).  On
+    first use, one polycyclic presentation and the Smith normal form of its
+    relations give every class's coords over cyclic generators of orders
+    d_1 | d_2 | ... | d_r; the composition table, orders, cyclic
+    decomposition and powers are read off them, e(C) off the reduced forms.
     """
 
     def __init__(self, q: Discriminant, classes: tuple[QuadForm, ...]):
@@ -241,50 +240,94 @@ class FormClassGroup:
             key = (g.a, g.b, g.c)
         return self._index[key]
 
-    @cached_property
-    def composition(self) -> np.ndarray:
-        h = self.h
-        table = np.zeros((h, h), dtype=np.int32)
-        for i in range(h):
-            for j in range(i, h):
-                k = self.class_index(compose_forms(self.classes[i], self.classes[j]))
-                table[i, j] = table[j, i] = k
-        return table
-
-    def compose(self, i: int, j: int) -> int:
-        return int(self.composition[i, j])
+    def _product(self, i: int, j: int) -> int:
+        return self.class_index(compose_forms(self.classes[i], self.classes[j]))
 
     def inverse(self, i: int) -> int:
         f = self.classes[i]
         return self.class_index(QuadForm(f.a, -f.b, f.c))
 
+    def _presentation(self) -> tuple[np.ndarray, list[list[int]]]:
+        """Every class's exponents over the adjoined classes x_i, and their relations.
+
+        Each class x not yet reached joins the subgroup H reached so far: its
+        powers are walked until x^m lies in H (raising once m |H| would pass
+        h), and each new class x^k c (0 < k < m, c in H) costs one
+        composition, h - 1 in all.  Relation i is m_i e_i minus the
+        exponents of x_i^{m_i}.
+        """
+        h = self.h
+        exps = np.zeros((h, h.bit_length()), dtype=np.int64)  # every m_i >= 2
+        reached = np.arange(h) == 0
+        relations: list[list[int]] = []
+        for x in range(1, h):
+            if reached[x]:
+                continue
+            H = np.flatnonzero(reached).tolist()
+            pows = [x]
+            while not reached[y := self._product(pows[-1], x)]:
+                if (len(pows) + 2) * len(H) > h:
+                    raise IdentityViolation("compositions do not form a group")
+                pows.append(y)
+            s = len(relations)
+            relations.append([-int(v) for v in exps[y, :s]] + [len(pows) + 1])
+            for k, p in enumerate(pows, 1):
+                for c in H:
+                    z = self._product(p, c) if c else p
+                    reached[z] = True
+                    exps[z] = exps[c]
+                    exps[z, s] = k
+        n = len(relations)
+        return exps[:, :n], [row + [0] * (n - len(row)) for row in relations]
+
+    @cached_property
+    def _basis(self) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """(d, coords, at): the invariant factors d_i > 1, every class's coords
+        in prod [0, d_i), and at(c), the classes at coords c taken mod d."""
+        exps, relations = self._presentation()
+        diag, V = _smith_normal_form(relations)
+        keep = [j for j, dj in enumerate(diag) if dj != 1]
+        d = np.array([diag[j] for j in keep], dtype=np.int64)
+        V = np.array([[row[j] % diag[j] for j in keep] for row in V], dtype=np.int64)
+        coords = exps @ V.reshape(len(diag), d.size) % d
+        radix = np.cumprod(np.r_[1, d])[:-1]
+        lookup = np.full(self.h, -1)
+        if math.prod(diag) == self.h:
+            lookup[coords @ radix] = np.arange(self.h)
+        # a class reached twice makes the m_i, hence the d_i, multiply past h
+        if (lookup < 0).any():
+            raise IdentityViolation("compositions do not form a group")
+
+        def at(c: np.ndarray) -> np.ndarray:
+            return lookup[c % d @ radix]
+
+        # each generator's products with every class: when these are right,
+        # so is every product read off the coords
+        steps = np.eye(d.size, dtype=np.int64)
+        for g, step in zip(at(steps), steps):
+            moved = at(coords + step)
+            if any(self._product(g, j) != moved[j] for j in range(1, self.h)):
+                raise IdentityViolation(f"class {g} does not compose as its coords say")
+        return d, coords, at
+
+    @property
+    def coords(self) -> np.ndarray:
+        """Exponent vector of every class against the cyclic generators."""
+        return self._basis[1]
+
+    @cached_property
+    def composition(self) -> np.ndarray:
+        _, c, at = self._basis
+        return at(c[:, None] + c[None, :]).astype(np.int32)
+
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            i, k = self.inverse(i), -k
-        acc = self.principal_index
-        base = i
-        table = self.composition
-        while k:
-            if k & 1:
-                acc = int(table[acc, base])
-            base = int(table[base, base])
-            k >>= 1
-        return acc
+        _, c, at = self._basis
+        return int(at(k * c[i]))
 
     @cached_property
     def orders(self) -> tuple[int, ...]:
-        table = self.composition
-        h = self.h
-        out = []
-        for i in range(h):
-            k, o = i, 1
-            while k != 0:
-                if o == h:
-                    raise ArithmeticError(_NOT_A_GROUP)
-                k = int(table[k, i])
-                o += 1
-            out.append(o)
-        return tuple(out)
+        d, c, _ = self._basis
+        return tuple(np.lcm.reduce(d // np.gcd(c, d), axis=1, initial=1).tolist())
 
     @cached_property
     def e(self) -> tuple[int, ...]:
@@ -294,87 +337,41 @@ class FormClassGroup:
     @cached_property
     def cyclic_decomposition(self) -> tuple[tuple[int, int], ...]:
         """Pairs (generator index, order), orders ascending with d_i | d_{i+1}."""
-        if self.h == 1:
-            return ()
-        table = self.composition
-        chain = _abelian_decomposition(
-            list(range(self.h)), lambda x, y: int(table[x, y]), 0
-        )
-        return tuple(reversed(chain))
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        """Exponent vector of every class against the cyclic generators."""
-        dec = self.cyclic_decomposition
-        out = np.zeros((self.h, len(dec)), dtype=np.int64)
-        seen = set()
-        gen_pows = [
-            [self.power(g, e) for e in range(d)] for g, d in dec
-        ]
-        for exps in itertools.product(*(range(d) for _, d in dec)):
-            k = 0
-            for pows, e in zip(gen_pows, exps):
-                k = self.compose(k, pows[e])
-            if k in seen:
-                raise ArithmeticError("cyclic decomposition is not direct")
-            seen.add(k)
-            out[k] = exps
-        if len(seen) != self.h:
-            raise ArithmeticError("cyclic decomposition does not span the group")
-        return out
+        d, _, at = self._basis
+        return tuple(zip(at(np.eye(d.size, dtype=np.int64)).tolist(), d.tolist()))
 
 
-def _abelian_decomposition(elems, mul, ident):
-    """Generators (element, order) of a finite abelian group, orders descending.
+def _smith_normal_form(R: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Smith normal form of a square integer matrix, keeping the column transform.
 
-    Picks a maximal-order element (its cyclic span is a direct factor),
-    quotients by it, recurses, and lifts quotient generators to coset
-    members with matching exact order.
+    Returns d and a unimodular V with U R V = diag(d) for some unimodular U,
+    d_i >= 0 and d_1 | d_2 | ... | d_n.
     """
-    if len(elems) == 1:
-        return []
-    # a table that is not a group table raises instead of looping: orders
-    # are bounded by the group order, and the quotient must shrink by dmax
-    n = len(elems)
-    if any(mul(ident, x) != x or mul(x, ident) != x for x in elems):
-        raise ArithmeticError(_NOT_A_GROUP)
-
-    def order_of(x):
-        k, o = x, 1
-        while k != ident:
-            if o == n:
-                raise ArithmeticError(_NOT_A_GROUP)
-            k = mul(k, x)
-            o += 1
-        return o
-
-    orders = {x: order_of(x) for x in elems}
-    dmax = max(orders.values())
-    g = min(x for x in elems if orders[x] == dmax)
-    pows = [ident]
-    k = mul(ident, g)
-    while k != ident:
-        pows.append(k)
-        k = mul(k, g)
-    rep: dict = {}
-    for x in elems:
-        if x in rep:
-            continue
-        coset = [mul(x, p) for p in pows]
-        r = min(coset)
-        for y in coset:
-            rep[y] = r
-    qelems = sorted(set(rep.values()))
-    if len(qelems) * dmax != n:
-        raise ArithmeticError(_NOT_A_GROUP)
-    sub = _abelian_decomposition(qelems, lambda x, y: rep[mul(x, y)], rep[ident])
-    lifted = []
-    for qg, qd in sub:
-        cands = [x for x in elems if rep[x] == qg and orders[x] == qd]
-        if not cands:
-            raise ArithmeticError("no exact-order lift in abelian decomposition")
-        lifted.append((min(cands), qd))
-    return [(g, dmax)] + lifted
+    A = [list(row) for row in R]
+    n = len(A)
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    for t in range(n):
+        sub = range(t, n)
+        while entries := [(abs(A[i][j]), i, j) for i in sub for j in sub if A[i][j]]:
+            _, i, j = min(entries)
+            A[t], A[i] = A[i], A[t]
+            for row in A + V:
+                row[t], row[j] = row[j], row[t]
+            p = A[t][t]
+            for i in range(t + 1, n):
+                k = A[i][t] // p
+                A[i] = [a - k * b for a, b in zip(A[i], A[t])]
+            for j in range(t + 1, n):
+                k = A[t][j] // p
+                for row in A + V:
+                    row[j] -= k * row[t]
+            if any(A[t][t + 1:]) or any(row[t] for row in A[t + 1:]):
+                continue  # a remainder below |p| is the next pivot
+            rest = [row for row in A[t + 1:] if any(a % p for a in row)]
+            if not rest:
+                break
+            A[t] = [a + b for a, b in zip(A[t], rest[0])]
+    return [abs(A[t][t]) for t in range(n)], V  # a row sign is part of U
 
 
 def class_group(q: Discriminant | int) -> FormClassGroup:
@@ -389,7 +386,7 @@ def class_group(q: Discriminant | int) -> FormClassGroup:
         QuadForm(1, 0, q.abs_q // 4) if q.q % 4 == 0 else QuadForm(1, 1, (1 + q.abs_q) // 4)
     )
     if group.classes[0] != principal:
-        raise ArithmeticError("principal form missing from enumeration")
+        raise IdentityViolation("principal form missing from enumeration")
     return group
 
 

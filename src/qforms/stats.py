@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import arith
-from .arith import Discriminant, SieveTables, kronecker
+from .arith import Discriminant, IdentityViolation, SieveTables, kronecker
 from .characters import ClassCharacter, WTable, lambda_table, w_units
 from .forms import (
     FormClassGroup,
@@ -145,7 +145,7 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
     in an ambiguous one.  So pi = hits/u for C != C^-1, and
     pi = (hits/u + ram_C)/2 for C = C^-1, with ram_C the ramified primes
     5 <= p <= X that C represents.  A count that u does not divide, or an
-    odd hits/u + ram_C, raises ArithmeticError.  The primes 2 and 3 are
+    odd hits/u + ram_C, raises IdentityViolation.  The primes 2 and 3 are
     checked by representation_count.
     """
     if X > sieve.limit:
@@ -172,7 +172,7 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
                 ideals, odd = divmod(ideals + ram, 2)
                 rem = rem or odd
             if rem:
-                raise ArithmeticError(f"prime count of {tuple(f)} is not a whole number of ideals")
+                raise IdentityViolation(f"prime count of {tuple(f)} is not a whole number of ideals")
             counts[key] = ideals + len(_small_primes_represented(f, limit))
         out[i] = counts[key]
     return out

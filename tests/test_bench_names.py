@@ -1,11 +1,14 @@
-"""The names the traced benchmark wraps must exist in the package.
+"""The names the benchmark reads must exist in the package.
 
 perfbench/tracing.py wraps qforms functions by name from outside the
-package; a deletion or rename here would only surface when the benchmark
-runs.  The module imports nothing but the standard library, so it is
-loaded from its file without running the benchmark.
+package, and the workloads and their untimed oracles read qforms
+attributes; a deletion or rename here would only surface when the
+benchmark runs.  tracing.py imports nothing but the standard library, so
+it is loaded from its file without running the benchmark; the workloads
+and oracles are only parsed.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -13,7 +16,9 @@ from pathlib import Path
 
 import qforms
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+MODULES = ("arith", "cache", "characters", "cli", "forms", "sievelab", "stats")
 
 
 def _load_tracing():
@@ -35,3 +40,23 @@ def test_traced_names_resolve_in_qforms():
         module, attr = name.split(".")
         assert callable(getattr(importlib.import_module(f"qforms.{module}"), attr)), name
     assert callable(qforms.build_sieve)
+
+
+def test_benchmark_attributes_resolve_in_qforms():
+    used = set()
+    for name in ("workloads.py", "oracles.py"):
+        tree = ast.parse((PERFBENCH / name).read_text())
+        used |= {
+            (node.value.id, node.attr)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in MODULES
+        }
+    assert ("forms", "class_group") in used
+    for module, attr in sorted(used):
+        assert hasattr(importlib.import_module(f"qforms.{module}"), attr), (module, attr)
+    # the untimed checks of the tables workload read these off a loaded group
+    group = qforms.class_group(-39)
+    assert group.h == len(group.classes) == len(group.orders) == 4
+    assert group.composition.shape == (4, 4)

@@ -410,6 +410,27 @@ def test_check_identities_clean(capsys):
     assert "violations=0" in out
 
 
+def test_internal_check_failures_exit_3(capsys, monkeypatch):
+    # a composition that is no group law, and a lattice kernel that visits
+    # the y = 1 row twice (7 half-lattice points of x^2 + xy + y^2 on 7,
+    # which u = 3 does not divide): each is an identity violation, exit 3
+    real = forms._half_rows
+
+    def y1_row_twice(f, limit):
+        y, lo, hi = real(f, limit)
+        return np.r_[y, y[1:2]], np.r_[lo, lo[1:2]], np.r_[hi, hi[1:2]]
+
+    for name, fault, argv in (
+        ("compose_forms", lambda f1, f2: f1, ("classgroup", "-q", "-39")),
+        ("_half_rows", y1_row_twice, ("scan-bv", "-Q", "3", "-X", "1000")),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, name, fault)
+            code, _, err = run_cli(capsys, *argv)
+        assert code == 3, name
+        assert err.startswith("error: identity-violation:") and err.count("\n") == 1, err
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "scan-bv", "-Q", "30", "-X", "-5")
     assert code == 1 and err.startswith("error: usage:")

@@ -1,5 +1,7 @@
 import contextlib
+import itertools
 import math
+import random
 import signal
 import tracemalloc
 from collections import deque
@@ -12,7 +14,6 @@ from hypothesis import strategies as st
 from qforms import arith, forms
 from qforms.arith import fundamental_discriminants, kronecker
 from qforms.forms import (
-    FormClassGroup,
     QuadForm,
     class_group,
     class_number,
@@ -181,9 +182,10 @@ def test_composition_laws_examples():
     i_pos = g.class_index(QuadForm(2, 1, 3))
     i_neg = g.class_index(QuadForm(2, -1, 3))
     for j in range(g.h):
-        assert g.compose(g.principal_index, j) == j
-    assert g.compose(i_pos, i_neg) == g.principal_index
-    assert g.compose(i_pos, i_pos) == i_neg
+        assert g.composition[g.principal_index, j] == j
+    assert g.composition[i_pos, i_neg] == g.principal_index
+    assert g.composition[i_pos, i_pos] == i_neg
+    assert g.power(i_pos, 2) == i_neg and g.power(i_pos, -1) == i_neg
 
 
 def test_group_axioms_exhaustive():
@@ -228,29 +230,125 @@ def _deadline(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def test_non_group_tables_raise_instead_of_looping():
-    g39, g84 = class_group(-39), class_group(-84)
-    assert g39.orders == (1, 4, 4, 2) and g84.orders == (1, 2, 2, 2)
-    cases = []
-    for group in (g39, g84):
-        # two entries of row 0 swapped: for -84 the powers of class 1, started
-        # from 0 * 1 = 2, cycle through 2 and 3 without reaching 0
-        swapped = group.composition.copy()
-        swapped[0, [1, 2]] = swapped[0, [2, 1]]
-        cases.append((group, swapped, "cyclic_decomposition"))
-    # 1 * 1 = 1: the powers of class 1 never reach the identity
-    stuck = g39.composition.copy()
-    stuck[1, 1] = 1
-    cases += [(g39, stuck, "orders"), (g39, stuck, "cyclic_decomposition")]
-    # 2 * 1 = 2 and 3 * 1 = 3: the cosets of {0, 1} overlap
-    overlap = g84.composition.copy()
-    overlap[[2, 3], 1] = [2, 3]
-    cases.append((g84, overlap, "cyclic_decomposition"))
-    for group, comp, attr in cases:
-        corrupt = FormClassGroup(group.q, group.classes)
-        corrupt.__dict__["composition"] = comp
-        with _deadline(10), pytest.raises(ArithmeticError, match="not a group table"):
-            getattr(corrupt, attr)
+def _reference_table(group):
+    """The composition table by h(h+1)/2 compose_forms calls."""
+    table = np.zeros((group.h, group.h), dtype=np.int64)
+    for i in range(group.h):
+        for j in range(i, group.h):
+            k = group.class_index(compose_forms(group.classes[i], group.classes[j]))
+            table[i, j] = table[j, i] = k
+    return table
+
+
+def _reference_orders(table):
+    out = []
+    for i in range(len(table)):
+        k, o = i, 1
+        while k != 0:
+            k, o = table[k, i], o + 1
+        out.append(o)
+    return tuple(out)
+
+
+def test_structure_matches_the_slow_path():
+    # every fundamental |q| <= 3000, mod-8 kinds included, against the
+    # composition table of h(h+1)/2 compose_forms calls
+    qs = [d for d in range(-3000, 0) if arith.is_fundamental_discriminant(d)]
+    assert any(q % 8 == 0 for q in qs)
+    for q in qs:
+        g = class_group(q)
+        table = _reference_table(g)
+        assert np.array_equal(g.composition, table), q
+        orders = _reference_orders(table)
+        assert g.orders == orders, q
+        d = np.array([dj for _, dj in g.cyclic_decomposition], dtype=np.int64)
+        assert (d > 1).all() and (d[1:] % d[:-1] == 0).all(), q
+        # the invariant factors fix #{C : ord C | n} for every n | h
+        for n in arith.divisors(g.h):
+            assert sum(n % o == 0 for o in orders) == math.prod(math.gcd(n, int(dj)) for dj in d)
+        coords = g.coords
+        keys = {tuple(c) for c in coords.tolist()}
+        assert len(keys) == g.h and all(((0 <= coords) & (coords < d)).all(axis=1)), q
+        assert np.array_equal(coords[table], (coords[:, None] + coords[None, :]) % d), q
+        for i, (gen, _) in enumerate(g.cyclic_decomposition):
+            assert np.array_equal(coords[gen], np.eye(d.size, dtype=np.int64)[i]), q
+
+
+def test_structure_checks_fire_on_planted_faults(monkeypatch):
+    qs = [d for d in range(-3000, 0) if arith.is_fundamental_discriminant(d)]
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "compose_forms", lambda f1, f2: f1)
+        for q in (-15, -23, -39, -84, -3299):
+            with _deadline(10), pytest.raises(ArithmeticError):
+                class_group(q).cyclic_decomposition
+    # one off-diagonal relation entry off by one: a presentation of another
+    # lattice, which the generator rows refute
+    real = forms._smith_normal_form
+    sizes = []
+
+    def off_by_one(R):
+        sizes.append(len(R))
+        R = [row[:] for row in R]
+        if len(R) > 1:
+            R[-1][0] += 1
+        return real(R)
+
+    monkeypatch.setattr(forms, "_smith_normal_form", off_by_one)
+    fired = 0
+    for q in qs:
+        try:
+            with _deadline(10):
+                class_group(q).cyclic_decomposition
+        except ArithmeticError:
+            fired += 1
+            assert sizes[-1] > 1, q
+        else:
+            assert sizes[-1] <= 1, q
+    assert fired > 300
+
+
+def _det(M):
+    n = len(M)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(M[i][perm[i]] for i in range(n))
+    return total
+
+
+def test_smith_normal_form_matches_determinantal_divisors():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        R = [[rng.choice([0, 0, rng.randint(-12, 12)]) for _ in range(n)] for _ in range(n)]
+        d, V = forms._smith_normal_form(R)
+        assert all(dj >= 0 for dj in d), R
+        assert all(d[i + 1] % d[i] == 0 if d[i] else d[i + 1] == 0 for i in range(n - 1)), R
+        assert abs(_det(V)) == 1, R
+        RV = [[sum(R[i][k] * V[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+        assert all(RV[i][j] % d[j] == 0 if d[j] else RV[i][j] == 0 for i in range(n) for j in range(n)), R
+        # D_k, the gcd of the k x k minors, is d_1 ... d_k
+        for k in range(1, n + 1):
+            minors = [
+                _det([[R[i][j] for j in cols] for i in rows])
+                for rows in itertools.combinations(range(n), k)
+                for cols in itertools.combinations(range(n), k)
+            ]
+            assert math.gcd(*minors) == math.prod(d[:k]), (R, k)
+
+
+def test_structure_costs_about_h_compositions(monkeypatch):
+    # h - 1 compositions build the presentation and r (h - 1) check the
+    # generator rows; the h(h+1)/2 table took 816,003 calls at h = 1277
+    real = compose_forms
+    calls = []
+    monkeypatch.setattr(forms, "compose_forms", lambda f1, f2: calls.append(1) or real(f1, f2))
+    for q, invariants in ((-999959, [1277]), (-3299, [3, 9])):
+        g = class_group(q)
+        calls.clear()
+        g.composition, g.orders, g.coords, g.power(1, -2)
+        assert [dj for _, dj in g.cyclic_decomposition] == invariants
+        assert len(calls) <= (len(invariants) + 1) * g.h, (q, len(calls))
 
 
 def test_compose_forms_requires_matching_discriminant():
