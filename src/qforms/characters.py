@@ -1,9 +1,11 @@
 """Class group characters and representation-weight tables.
 
 Characters of the form class group are stored as exponent vectors against
-the cyclic decomposition and evaluated from exact rational exponents.
+the cyclic decomposition and evaluated from exact rational exponents, read
+from one table of the roots of unity of order dividing the group exponent.
 The weight w(C, n) counts ideals of norm n in the class C, computed either
-by lattice enumeration (representations divided by the unit count) or by an
+by lattice enumeration (one kernel pass over a form of every inverse pair of
+classes, the half-lattice points divided by the points per ideal) or by an
 independent multiplicative construction from the prime-power case table;
 lambda coefficients and the Kronecker factorization of real characters are
 derived from these tables.
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import arith
 from .arith import Discriminant, IdentityViolation, kronecker, kronecker_table
-from .forms import FormClassGroup, classes_representing, value_counts
+from .forms import FormClassGroup, _half_lattice_values, classes_representing
 
 __all__ = [
     "IdentityViolation",
@@ -87,13 +89,14 @@ def characters(group: FormClassGroup) -> list[ClassCharacter]:
     orders = tuple(d for _, d in dec)
     coords = group.coords
     lcm = math.lcm(*orders) if orders else 1
+    roots = np.array([_root_of_unity(k, lcm) for k in range(lcm)])
     out = []
     for exps in itertools.product(*(range(d) for d in orders)):
         weights = np.array(
             [e * (lcm // d) for e, d in zip(exps, orders)], dtype=np.int64
         )
         nums = (coords @ weights) % lcm if orders else np.zeros(group.h, np.int64)
-        values = np.array([_root_of_unity(int(k), lcm) for k in nums])
+        values = roots[nums]
         out.append(
             ClassCharacter(
                 q=group.q,
@@ -121,26 +124,35 @@ def build_w_table(
 ) -> WTable:
     """Tabulate w(C, n) for all classes and n <= N.
 
-    method="lattice" counts lattice representations and divides by the unit
-    count; method="multiplicative" is an independent construction that
-    factors n, locates the classes of each prime by representability, and
-    combines prime-power weight vectors through the group law.  The two
-    agree entrywise; tests rely on that as a dual oracle.
+    method="lattice" counts the half-lattice points of one form per inverse
+    pair, every such form of the group in one pass of the lattice kernel,
+    and divides by the points per ideal; method="multiplicative" is an
+    independent construction that factors n, locates the classes of each
+    prime by representability, and combines prime-power weight vectors
+    through the group law.  The two agree entrywise; tests rely on that as
+    a dual oracle.
     """
     if N < 1:
         raise ValueError("N must be positive")
     if method == "lattice":
-        units = w_units(group.q)
         # (a, b, c) and (a, -b, c) have the same counts (x -> -x), so one
-        # row serves each pair of inverse classes
-        mat = np.zeros((group.h, N + 1), dtype=np.int64)
-        for i, f in enumerate(group.classes):
-            inv = group.inverse(i)
-            if inv >= i:
-                mat[i] = mat[inv] = value_counts(f, N)
-        if (mat % units).any():
-            raise IdentityViolation("representation counts not divisible by unit count")
-        return WTable(group.q, N, mat // units)
+        # form serves each pair of inverse classes; the values of form k land
+        # in row k of one flat count table through the offset k (N + 1)
+        slots: dict[tuple[int, int, int], int] = {}
+        rows = [slots.setdefault((f.a, abs(f.b), f.c), len(slots)) for f in group.classes]
+        counts = np.zeros(len(slots) * (N + 1), dtype=np.int64)
+        offsets = np.arange(len(slots), dtype=np.int64) * (N + 1)
+        for vals in _half_lattice_values(list(slots), N, offsets=offsets):
+            np.add.at(counts, vals, 1)
+        counts = counts.reshape(len(slots), N + 1)
+        # an ideal of norm n puts units/2 points on the half lattice: one
+        # for |q| > 4, three for q = -3 and two for q = -4
+        per_ideal = w_units(group.q) // 2
+        if per_ideal > 1:
+            if (counts % per_ideal).any():
+                raise IdentityViolation("representation counts not divisible by unit count")
+            counts //= per_ideal
+        return WTable(group.q, N, counts[rows])
     if method == "multiplicative":
         return _build_w_multiplicative(group, N)
     raise ValueError(f"unknown method {method!r}")

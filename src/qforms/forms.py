@@ -8,14 +8,17 @@ form (Cohen, A Course in Computational Algebraic Number Theory, 2.4 and
 Forms are integral, primitive and positive definite throughout; class groups
 are built for fundamental discriminants only (maximal orders).
 
-The lattice kernel behind value_counts and represented_mask uses
-f(x, y) = f(-x, -y): it enumerates only the half lattice (y > 0 with every
-x, y = 0 with x >= 1), taking every row's exact x-range from one vectorised
-integer square root, and emits the values in numpy chunks of about _CHUNK
-points, so memory stays bounded at any limit.  Given a modulus M it visits
-only the points whose value is prime to M: f(x, y) mod M depends on x and y
-mod M alone, so each row splits into sub-rows of stride M, one for each
-residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the whole half
+The lattice kernel uses f(x, y) = f(-x, -y): it enumerates only the half
+lattice (y > 0 with every x, y = 0 with x >= 1).  It takes a batch of forms
+and walks all of their rows in one pass, every row's exact x-range from one
+vectorised integer square root, and emits the values in numpy chunks of
+about _CHUNK points, so memory stays bounded at any limit; an offset per
+form keeps the forms' values apart.  A weight table is one such pass over a
+form of every inverse pair of a class group; value_counts, represented_mask
+and the prime counts of stats pass one form.  Given a modulus M the kernel
+visits only the points whose value is prime to M: f(x, y) mod M depends on
+x and y mod M alone, so each row splits into sub-rows of stride M, one for
+each residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the whole half
 lattice; the prime counts of stats use M = 6, which keeps about a quarter
 of the points and every prime p >= 5.
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -425,53 +428,82 @@ def classes_representing(group: FormClassGroup, n: int) -> frozenset[int]:
     )
 
 
-def _half_rows(f: QuadForm, limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rows (y, lo, hi) of the half lattice with f(x, y) <= limit.
+def _half_rows(
+    abc: np.ndarray, limit: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (form, y, lo, hi) of the half lattice of each form with f(x, y) <= limit.
 
+    abc is an (F, 3) batch of forms; rows come form by form, y ascending.
     The half lattice is y > 0 with every x plus y = 0 with x >= 1: one point
     of each pair +-(x, y) != (0, 0).  With s = isqrt(4a limit - |D| y^2),
     f(x, y) <= limit iff |2ax + by| <= s, so lo = -floor((by + s) / 2a) and
     hi = floor((s - by) / 2a) are exact; a row with no integer point has
-    lo > hi.
+    lo > hi.  Each form's constants are exact integers, and one vectorised
+    square root serves every row of the batch, exact while 4 a limit < 2^52.
     """
-    a, b = f.a, f.b
-    abs_d = -f.disc
-    top = 4 * a * limit
-    if top >= 1 << 52:
+    forms = abc.tolist()
+    if 4 * max(f[0] for f in forms) * limit >= 1 << 52:
         raise ValueError("limit too large for the exact lattice kernel")
-    y = np.arange(math.isqrt(top // abs_d) + 1, dtype=np.int64)
+    consts = []
+    total = 0
+    for k, (a, b, c) in enumerate(forms):
+        top = 4 * a * limit
+        abs_d = min(4 * a * c - b * b, top + 1)  # past top only y = 0 is left
+        rows = math.isqrt(top // abs_d) + 1
+        consts.append((k, total, top, abs_d, b, 2 * a, rows))
+        total += rows
+    cols = np.array(consts, dtype=np.int64)
+    form, first, top, abs_d, b, two_a = np.repeat(cols[:, :6].T, cols[:, 6], axis=1)
+    y = np.arange(total, dtype=np.int64) - first
     t = top - abs_d * y * y
-    s = np.sqrt(t).astype(np.int64)  # within one of isqrt(t) below 2^52
+    # t < 2^52 is an exact double, and the correctly rounded, monotone
+    # square root of t >= k^2 is at least k: the truncated root is never
+    # too small and at most one too large
+    s = np.sqrt(t).astype(np.int64)
     s -= s * s > t
-    s += (s + 1) * (s + 1) <= t
-    lo = -((b * y + s) // (2 * a))
-    hi = (s - b * y) // (2 * a)
-    lo[0] = 1
-    return y, lo, hi
+    by = b * y
+    lo = -((by + s) // two_a)
+    hi = (s - by) // two_a
+    lo[cols[:, 1]] = 1
+    return form, y, lo, hi
 
 
-def _coprime_residues(f: QuadForm, M: int) -> np.ndarray:
-    """allowed[y % M, x % M] iff gcd(f(x, y), M) = 1, an (M, M) table."""
+@lru_cache(maxsize=1024)
+def _residue_table(a: int, b: int, c: int, M: int) -> np.ndarray:
     r = np.arange(M, dtype=np.int64)
     x, y = r[None, :], r[:, None]
-    return np.gcd(f.a * x * x + f.b * x * y + f.c * y * y, M) == 1
+    return np.gcd(a * x * x + b * x * y + c * y * y, M) == 1
 
 
-def _half_lattice_values(f: QuadForm, limit: int, M: int = 1):
-    """f(x, y) over the half lattice up to limit, in chunks of about _CHUNK values.
+def _coprime_residues(abc: np.ndarray, M: int) -> np.ndarray:
+    """allowed[k, y % M, x % M] iff gcd(f_k(x, y), M) = 1, an (F, M, M) table.
 
-    With M > 1 only the points with gcd(f(x, y), M) = 1 are visited, as
-    sub-rows x = first, first + M, ... of each row.  Whole sub-rows are
-    grouped into a chunk, so its size is at most _CHUNK plus one row, and
-    memory stays O(_CHUNK + M sqrt(limit)) at any limit.
+    f(x, y) mod M depends on (a, b, c) mod M alone, so the (M, M) table of
+    each residue triple is built once.
     """
-    y, lo, hi = _half_rows(f, limit)
+    return np.array([_residue_table(a % M, b % M, c % M, M) for a, b, c in abc.tolist()])
+
+
+def _half_lattice_values(abc, limit: int, M: int = 1, offsets: np.ndarray | None = None):
+    """Values of a batch of forms on their half lattices up to limit, in chunks.
+
+    abc is an (F, 3) batch of forms (a, b, c), all of their rows walked in
+    one pass; offsets[k], if given, is added to every value of form k, so
+    disjoint offsets tell the forms apart.  With M > 1 only the points with
+    gcd(f(x, y), M) = 1 are visited, as sub-rows x = first, first + M, ...
+    of each row.  Whole sub-rows are grouped into chunks of about _CHUNK
+    values, so a chunk's size is at most _CHUNK plus one row, and memory
+    stays O(_CHUNK + F M sqrt(limit)) at any limit.
+    """
+    abc = np.asarray(abc, dtype=np.int64)
+    form, y, lo, hi = _half_rows(abc, limit)
     if M > 1:
-        rows, rx = np.nonzero(_coprime_residues(f, M)[y % M])
-        y, lo, hi = y[rows], lo[rows] + (rx - lo[rows]) % M, hi[rows]
+        rows, rx = np.nonzero(_coprime_residues(abc, M)[form, y % M])
+        lo = lo[rows]
+        form, y, lo, hi = form[rows], y[rows], lo + (rx - lo) % M, hi[rows]
     n = (hi - lo) // M + 1
     keep = n > 0
-    y, lo, n = y[keep], lo[keep], n[keep]
+    form, y, lo, n = form[keep], y[keep], lo[keep], n[keep]
     if not n.size:
         return
     ends = np.cumsum(n)
@@ -480,19 +512,31 @@ def _half_lattice_values(f: QuadForm, limit: int, M: int = 1):
     # x = first + M (k - s) = M k - (M s - first)
     shift = M * starts - lo
     cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK), side="right"))
-    a, b, c = f.a, f.b, f.c
+    coefs = abc.tolist()
     for r0, r1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size]):
         cnt = n[r0:r1]
         rows = y[r0:r1]
-        # in place, with b y and c y^2 repeated per row: at most three
-        # chunk-sized arrays live at once, few enough that the allocator
-        # reuses their pages instead of faulting in fresh ones per chunk
+        k = form[r0:r1]
+        # the chunk's coefficients: Python ints when it holds one form, else
+        # one per row; b y and c y^2 (+ offset) are repeated per point and
+        # the values computed in place, so at most three chunk-sized arrays
+        # live at once, few enough that the allocator reuses their pages
+        # instead of faulting in fresh ones per chunk
+        one_form = k[0] == k[-1]
+        a, b, c = coefs[k[0]] if one_form else abc[k].T
         xs = np.arange(M * starts[r0], M * ends[r1 - 1], M)
         xs -= np.repeat(shift[r0:r1], cnt)
-        vals = a * xs
+        if one_form:
+            vals = a * xs
+        else:
+            vals = np.repeat(a, cnt)
+            vals *= xs
         vals += np.repeat(b * rows, cnt)
         vals *= xs
-        vals += np.repeat(c * rows * rows, cnt)
+        tail = c * rows * rows
+        if offsets is not None:
+            tail += offsets[k]
+        vals += np.repeat(tail, cnt)
         yield vals
 
 
@@ -501,7 +545,7 @@ def value_counts(f: QuadForm, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be positive")
     counts = np.zeros(limit + 1, dtype=np.int64)
-    for vals in _half_lattice_values(f, limit):
+    for vals in _half_lattice_values([tuple(f)], limit):
         np.add.at(counts, vals, 2)  # (x, y) and (-x, -y)
     return counts
 
@@ -511,6 +555,6 @@ def represented_mask(f: QuadForm, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be positive")
     mask = np.zeros(limit + 1, dtype=bool)
-    for vals in _half_lattice_values(f, limit):
+    for vals in _half_lattice_values([tuple(f)], limit):
         mask[vals] = True
     return mask

@@ -164,7 +164,7 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
         if key not in counts:
             hits = sum(
                 int(np.count_nonzero(sieve.flags[vals]))
-                for vals in _half_lattice_values(f, limit, _MODULUS)
+                for vals in _half_lattice_values([tuple(f)], limit, _MODULUS)
             )
             ideals, rem = divmod(hits, u)
             if f.is_ambiguous:
@@ -500,7 +500,8 @@ def least_primes(
                 continue
             if flags is None:
                 flags = arith.prime_flags(bound)
-            chunks = (vals[flags[vals]] for vals in _half_lattice_values(f, bound, _MODULUS))
+            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS)
+            chunks = (vals[flags[vals]] for vals in lattice)
             least = [int(hits.min()) for hits in chunks if hits.size]
             if least:
                 results[c] = LeastPrimeResult(c, min(least), "found", bound)

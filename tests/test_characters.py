@@ -1,10 +1,12 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qforms import arith
+from qforms import arith, forms
+from qforms import characters as characters_module
 from qforms.arith import fundamental_discriminants, kronecker
 from qforms.characters import (
     IdentityViolation,
@@ -116,23 +118,125 @@ def test_dual_oracle_w_tables():
         assert np.array_equal(lattice.w, mult.w), q.q
 
 
-def test_lattice_w_table_counts_each_inverse_pair_once(monkeypatch):
-    from qforms import characters as characters_module
+_ALL_FUNDAMENTAL_3000 = [q for q in range(-3, -3001, -1) if arith.is_fundamental_discriminant(q)]
+_ONE_PASS_LIMITS = (1, 2, 3, 50, 3000)
 
+
+def _per_entry_values(group, chi):
+    """A character's values with one _root_of_unity call per class."""
+    orders = chi.orders
+    lcm = math.lcm(*orders) if orders else 1
+    weights = np.array([e * (lcm // d) for e, d in zip(chi.exponents, orders)], dtype=np.int64)
+    nums = (group.coords @ weights) % lcm if orders else np.zeros(group.h, np.int64)
+    return np.array([characters_module._root_of_unity(int(k), lcm) for k in nums])
+
+
+def test_characters_from_the_root_table_match_per_entry_values():
+    for q in _ALL_FUNDAMENTAL_3000:
+        group = class_group(q)
+        for chi in characters(group):
+            assert chi.values.dtype == np.complex128
+            assert np.array_equal(chi.values, _per_entry_values(group, chi)), (q, chi.exponents)
+
+
+def test_lattice_w_table_is_one_kernel_call_per_group(monkeypatch):
     calls = []
-    real = characters_module.value_counts
+    real = characters_module._half_lattice_values
 
-    def counting(f, limit):
-        calls.append((f.a, f.b, f.c))
-        return real(f, limit)
+    def recording(abc, *args, **kwargs):
+        calls.append([tuple(f) for f in np.asarray(abc).tolist()])
+        return real(abc, *args, **kwargs)
 
-    monkeypatch.setattr(characters_module, "value_counts", counting)
+    monkeypatch.setattr(characters_module, "_half_lattice_values", recording)
     for q in (-23, -39, -84, -260):  # cyclic, and with ambiguous classes
         group = class_group(q)
         calls.clear()
         build_w_table(group, 50)
         pairs = {frozenset((i, group.inverse(i))) for i in range(group.h)}
-        assert len(calls) == len(pairs) == len({(a, abs(b), c) for a, b, c in calls}), q
+        (batch,) = calls
+        classes = [group.class_index(forms.QuadForm(*f)) for f in batch]
+        assert len(batch) == len(pairs), q
+        assert {frozenset((i, group.inverse(i))) for i in classes} == pairs, q
+
+
+@pytest.fixture(scope="module")
+def per_form_w_rows():
+    """q -> (group, per-class value_counts rows at N = 3000 divided by the units)."""
+    out = {}
+    for q in _ALL_FUNDAMENTAL_3000:
+        group = class_group(q)
+        rows = np.array([forms.value_counts(f, max(_ONE_PASS_LIMITS)) for f in group.classes])
+        out[q] = group, rows // w_units(q)
+    return out
+
+
+def _one_pass_mismatches(per_form_w_rows, qs, limits=_ONE_PASS_LIMITS):
+    """(q, N) whose one-pass table differs from the per-form rows or raises."""
+    out = []
+    for q in qs:
+        group, rows = per_form_w_rows[q]
+        for N in limits:
+            try:
+                same = np.array_equal(build_w_table(group, N).w, rows[:, : N + 1])
+            except IdentityViolation:
+                same = False
+            if not same:
+                out.append((q, N))
+    return out
+
+
+def test_one_pass_w_table_matches_per_form_counts(per_form_w_rows):
+    assert -3 in per_form_w_rows and -4 in per_form_w_rows and -3000 not in per_form_w_rows
+    assert _one_pass_mismatches(per_form_w_rows, _ALL_FUNDAMENTAL_3000) == []
+    assert build_w_table(per_form_w_rows[-4][0], 50).w.dtype == np.int64
+
+
+def test_one_pass_w_table_oracle_fires_on_planted_faults(per_form_w_rows, monkeypatch):
+    qs = [q for q in _ALL_FUNDAMENTAL_3000 if q >= -400]
+    real_values = characters_module._half_lattice_values
+    real_rows = forms._half_rows
+
+    def offset_short_at_a_boundary(abc, limit, M=1, offsets=None):
+        return real_values(abc, limit, M, offsets - (np.arange(len(offsets)) > 0))
+
+    def last_row_dropped(abc, limit):
+        return tuple(col[:-1] for col in real_rows(abc, limit))
+
+    for module, name, fault in (
+        (characters_module, "_half_lattice_values", offset_short_at_a_boundary),
+        (forms, "_half_rows", last_row_dropped),
+        (characters_module, "w_units", lambda q: 2),  # skips the division for q = -3, -4
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            assert _one_pass_mismatches(per_form_w_rows, qs), name
+    with monkeypatch.context() as patch:
+        patch.setattr(characters_module, "w_units", lambda q: 2)
+        assert _one_pass_mismatches(per_form_w_rows, [-4], [50]) == [(-4, 50)]
+
+    def y1_row_twice(abc, limit):
+        return tuple(np.r_[col, col[1:2]] for col in real_rows(abc, limit))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(forms, "_half_rows", y1_row_twice)
+        # the y = 1 row counted twice puts 5 half-lattice points on n = 1
+        # for q = -3 and 3 for q = -4
+        for q in (-3, -4):
+            with pytest.raises(IdentityViolation, match="unit count"):
+                build_w_table(class_group(q), 10)
+
+
+def test_one_pass_w_table_memory_is_two_tables():
+    group = class_group(-999959)
+    N = 2000
+    tracemalloc.start()
+    try:
+        table = build_w_table(group, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.w.shape == (group.h, N + 1) == (1277, N + 1)
+    assert peak <= 2 * table.w.nbytes + 2 * 2**20, peak
 
 
 def test_lambda_examples():

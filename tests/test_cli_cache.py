@@ -416,9 +416,8 @@ def test_internal_check_failures_exit_3(capsys, monkeypatch):
     # which u = 3 does not divide): each is an identity violation, exit 3
     real = forms._half_rows
 
-    def y1_row_twice(f, limit):
-        y, lo, hi = real(f, limit)
-        return np.r_[y, y[1:2]], np.r_[lo, lo[1:2]], np.r_[hi, hi[1:2]]
+    def y1_row_twice(abc, limit):
+        return tuple(np.r_[col, col[1:2]] for col in real(abc, limit))
 
     for name, fault, argv in (
         ("compose_forms", lambda f1, f2: f1, ("classgroup", "-q", "-39")),

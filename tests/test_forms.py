@@ -476,7 +476,7 @@ def _kernel_matches_brute(f: QuadForm, limit: int, M: int = 6) -> bool:
     """The whole kernel (M = 1) and its sub-rows prime to M, against the box."""
     counts = _lattice_brute(f, limit)
     coprime = np.zeros(limit + 1, dtype=np.int64)
-    for vals in forms._half_lattice_values(f, limit, M):
+    for vals in forms._half_lattice_values([tuple(f)], limit, M):
         np.add.at(coprime, vals, 2)
     return (
         np.array_equal(value_counts(f, limit), counts)
@@ -521,20 +521,20 @@ def test_lattice_kernel_matches_brute(f, limit, M):
 def test_lattice_oracle_fires_on_planted_faults(monkeypatch):
     real = forms._half_rows
 
-    def hi_short_by_one(f, limit):
-        y, lo, hi = real(f, limit)
-        return y, lo, hi - 1
+    def hi_short_by_one(abc, limit):
+        form, y, lo, hi = real(abc, limit)
+        return form, y, lo, hi - 1
 
-    def y0_row_dropped(f, limit):
-        y, lo, hi = real(f, limit)
+    def y0_row_dropped(abc, limit):
+        form, y, lo, hi = real(abc, limit)
         lo = lo.copy()
         lo[0] = hi[0] + 1
-        return y, lo, hi
+        return form, y, lo, hi
 
     real_residues = forms._coprime_residues
 
-    def first_residue_dropped(f, M):
-        allowed = real_residues(f, M)
+    def first_residue_dropped(abc, M):
+        allowed = real_residues(abc, M)
         allowed[tuple(np.argwhere(allowed)[0])] = False
         return allowed
 
@@ -548,6 +548,50 @@ def test_lattice_oracle_fires_on_planted_faults(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(forms, name, fault)
             assert not all(_kernel_matches_brute(f, limit) for f, limit in cases), fault
+
+
+def _half_counts_brute(f: QuadForm, limit: int, M: int) -> np.ndarray:
+    """Half-lattice points per value n <= limit with gcd(n, M) = 1, from the box."""
+    n = np.arange(limit + 1)
+    return _lattice_brute(f, limit) // 2 * (np.gcd(n, M) == 1)
+
+
+def _batch_counts(abc, limit: int, M: int = 1) -> np.ndarray:
+    """(F, limit + 1) half-lattice counts of a batch, from one kernel pass."""
+    width = limit + 1
+    counts = np.zeros(len(abc) * width, dtype=np.int64)
+    offsets = np.arange(len(abc), dtype=np.int64) * width
+    for vals in forms._half_lattice_values(abc, limit, M, offsets):
+        np.add.at(counts, vals, 1)
+    return counts.reshape(len(abc), width)
+
+
+@given(
+    fs=st.lists(
+        st.one_of(st.sampled_from(_EDGE_FORMS), reduced_primitive_forms()),
+        min_size=1,
+        max_size=8,
+    ),
+    limit=st.integers(min_value=1, max_value=2000),
+    M=st.sampled_from([1, 6]),
+)
+def test_batched_kernel_matches_brute_per_form(fs, limit, M):
+    # forms of different discriminants and leading coefficients in one batch;
+    # the offsets keep every form's values in its own row
+    counts = _batch_counts([tuple(f) for f in fs], limit, M)
+    for k, f in enumerate(fs):
+        assert np.array_equal(counts[k], _half_counts_brute(f, limit, M)), (k, tuple(f))
+
+
+def test_batched_kernel_guards_the_largest_coefficients():
+    # 4 a limit = 2^52 for the second form only
+    with pytest.raises(ValueError):
+        _batch_counts([(1, 1, 1), (1 << 30, 1, 1 << 30)], 1 << 20)
+    counts = _batch_counts([(1, 1, 1), ((1 << 30) - 1, 1, 1 << 30)], (1 << 20) - 1)
+    assert counts[1].sum() == 0 and counts[0, 1] == 3
+    # 4 a c - b^2 past int64 is no obstacle: only the y = 0 row is left
+    counts = _batch_counts([(1, 1, 1), (1 << 20, 1, 1 << 50)], 1 << 22)
+    assert counts[1, 1 << 20] == 1 and counts[1].sum() == 2  # (1, 0) and (2, 0)
 
 
 def test_lattice_kernel_refuses_inexact_sizes():

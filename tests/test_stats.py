@@ -156,8 +156,8 @@ def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch):
     assert _pi_matches_mask(groups, xs, sieve_1m)
     real_residues = forms._coprime_residues
 
-    def first_residue_dropped(f, M):
-        allowed = real_residues(f, M)
+    def first_residue_dropped(abc, M):
+        allowed = real_residues(abc, M)
         allowed[tuple(np.argwhere(allowed)[0])] = False
         return allowed
 
@@ -176,9 +176,8 @@ def test_pi_repr_all_refuses_a_fractional_ideal_count(sieve_10k, monkeypatch):
     g3 = class_group(-3)
     real = forms._half_rows
 
-    def y1_row_twice(f, limit):
-        y, lo, hi = real(f, limit)
-        return np.r_[y, y[1:2]], np.r_[lo, lo[1:2]], np.r_[hi, hi[1:2]]
+    def y1_row_twice(abc, limit):
+        return tuple(np.r_[col, col[1:2]] for col in real(abc, limit))
 
     monkeypatch.setattr(forms, "_half_rows", y1_row_twice)
     with pytest.raises(ArithmeticError, match="whole number of ideals"):
