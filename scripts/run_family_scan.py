@@ -1,22 +1,15 @@
 #!/usr/bin/env python3
 """Run the averaged prime-distribution scans over the discriminant family.
 
-Prints the per-q table and the normalized aggregates for both the
-max-deviation (bv) and mean-square (bdh) statistics at a few X values, so
-the decay of the normalized ratio with X is visible directly.
+Prints the normalized aggregates for both the max-deviation (bv) and
+mean-square (bdh) statistics at a few X values, so the decay of the
+normalized ratio with X is visible directly, then the per-q bv table at
+the last X.
 """
 
 import argparse
-from dataclasses import dataclass
 
 from qforms import arith, stats
-
-
-@dataclass(frozen=True)
-class ScanPlan:
-    Q: float
-    xs: tuple[int, ...]
-    threads: int = 1
 
 
 def main() -> None:
@@ -25,12 +18,11 @@ def main() -> None:
     ap.add_argument("-X", type=int, nargs="+", default=[10_000, 100_000, 1_000_000])
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
-    plan = ScanPlan(Q=args.Q, xs=tuple(args.X), threads=args.threads)
 
-    sieve = arith.build_sieve(max(plan.xs))
-    for x in plan.xs:
-        bv = stats.bv_statistic(plan.Q, x, sieve, threads=plan.threads)
-        bdh = stats.bdh_statistic(plan.Q, x, sieve, threads=plan.threads)
+    sieve = arith.build_sieve(max(args.X))
+    for x in args.X:
+        bv = stats.bv_statistic(args.Q, x, sieve, threads=args.threads)
+        bdh = stats.bdh_statistic(args.Q, x, sieve, threads=args.threads)
         print(
             f"X={x:>9d}  bv aggregate={bv.aggregate:12.3f}"
             f"  normalized={bv.normalized:.5f}"
@@ -38,7 +30,7 @@ def main() -> None:
             f"  normalized={bdh.normalized:.3e}"
         )
     print()
-    print(stats.bv_statistic(plan.Q, plan.xs[-1], sieve, threads=plan.threads).to_csv())
+    print(bv.to_csv())
 
 
 if __name__ == "__main__":

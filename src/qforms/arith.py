@@ -274,10 +274,6 @@ class Discriminant:
     def is_fundamental(self) -> bool:
         return self.kind is not DiscriminantKind.NOT_FUNDAMENTAL
 
-    @property
-    def in_scan_family(self) -> bool:
-        return self.kind is DiscriminantKind.FUNDAMENTAL
-
     def __int__(self) -> int:
         return self.q
 

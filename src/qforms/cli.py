@@ -3,6 +3,10 @@
 Exit codes: 0 success, 1 usage error, 2 cap-exceeded/unresolved search,
 3 internal identity violation.  Errors print one machine-parseable line
 `error: <category>: <message>` on stderr.
+
+Only `tabulate` touches the cache: it writes the weight tables into
+`--cache` (default `QFORMS_CACHE`) and reuses the blobs that already hold
+them.  Every other command builds its class groups from scratch.
 """
 
 from __future__ import annotations
@@ -51,6 +55,8 @@ class RunConfig:
                 raise UsageError(f"{name} must be positive")
             if value > cap:
                 raise UsageError(f"{name}={value} exceeds cap {cap}")
+        if getattr(a, "q", None) is not None and abs(a.q) > MAX_Q:
+            raise UsageError(f"|q|={abs(a.q)} exceeds cap {MAX_Q}")
         if getattr(a, "X", None) is not None and a.X < 2:
             raise UsageError("X must be at least 2")
         for name in ("trials", "max_n", "n", "cap", "threads", "mn_limit"):
@@ -72,7 +78,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classgroup", help="class group of one discriminant")
     p.add_argument("-q", type=int, required=True, help="negative fundamental discriminant")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--cache", default=None)
     p.add_argument("--out", default=None)
 
     for name, help_text in (
@@ -86,7 +91,6 @@ def _build_parser() -> _Parser:
         p.add_argument("-A", type=float, default=2.0)
         p.add_argument("--threads", type=int, default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--cache", default=None)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("least-prime", help="least represented prime per class")
@@ -121,18 +125,11 @@ def _build_parser() -> _Parser:
     p.add_argument("-N", type=int, default=1000)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("tabulate", help="persist class groups and weight tables")
+    p = sub.add_parser("tabulate", help="persist weight tables up to N")
     p.add_argument("-Q", type=float, required=True)
-    p.add_argument("-N", type=int, default=None, help="also store weight tables up to N")
+    p.add_argument("-N", type=int, required=True)
     p.add_argument("--cache", default=None)
     return parser
-
-
-def _cache_dir(args) -> str | None:
-    explicit = getattr(args, "cache", None)
-    if explicit:
-        return explicit
-    return os.environ.get("QFORMS_CACHE") or None
 
 
 def _emit(args, text: str) -> None:
@@ -147,15 +144,15 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_group(args, q_value: int, n_limit: int = 0):
+def _group(q_value: int):
     q = classify_discriminant(q_value)
     if not q.is_fundamental:
         raise UsageError(f"{q_value} is not a fundamental discriminant")
-    return cache.load_or_build(q, _cache_dir(args), n_limit, warn=_warn)
+    return class_group(q)
 
 
 def _cmd_classgroup(args) -> int:
-    group, _ = _load_group(args, args.q)
+    group = _group(args.q)
     dec = group.cyclic_decomposition
     if args.format == "json":
         payload = {
@@ -194,21 +191,15 @@ def _cmd_classgroup(args) -> int:
 def _cmd_scan(args, statistic: str) -> int:
     cfg = StatConfig(c3=args.c3, A=args.A)
     sieve = arith.build_sieve(max(2, int(args.X)))
-    cache_dir = _cache_dir(args)
-
-    def loader(q):
-        group, _ = cache.load_or_build(q, cache_dir, warn=_warn)
-        return group
-
     fn = stats.bv_statistic if statistic == "bv" else stats.bdh_statistic
-    report = fn(args.Q, args.X, sieve, cfg, threads=args.threads, group_loader=loader)
+    report = fn(args.Q, args.X, sieve, cfg, threads=args.threads)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _emit(args, text)
     return 0
 
 
 def _cmd_least_prime(args) -> int:
-    group, _ = _load_group(args, args.q)
+    group = _group(args.q)
     indices = (
         [args.class_index]
         if args.class_index is not None
@@ -319,19 +310,18 @@ def _cmd_check_identities(args) -> int:
 
 
 def _cmd_tabulate(args) -> int:
-    cache_dir = _cache_dir(args)
+    cache_dir = args.cache or os.environ.get("QFORMS_CACHE")
     if not cache_dir:
         raise UsageError("tabulate needs --cache or QFORMS_CACHE")
     Path(cache_dir).mkdir(parents=True, exist_ok=True)
-    n_limit = args.N or 0
     written = skipped = 0
     for q in fundamental_discriminants(args.Q):
         path = cache.cache_path(cache_dir, q)
-        if cache.load_usable(path, n_limit, _warn) is not None:
+        if cache.load_usable(path, args.N, _warn) is not None:
             skipped += 1
             continue
         group = class_group(q)
-        cache.save_entry(path, group, build_w_table(group, n_limit) if n_limit else None)
+        cache.save_entry(path, group, build_w_table(group, args.N))
         written += 1
     _emit(args, f"tabulated {written} blob(s), reused {skipped}\n")
     return 0

@@ -353,7 +353,6 @@ def _scan(
     sieve: SieveTables,
     cfg: StatConfig,
     threads: int,
-    group_loader,
 ) -> DiscrepancyReport:
     if X < 2:
         raise ValueError("X must be at least 2")
@@ -363,7 +362,7 @@ def _scan(
     li_x = li(float(X), cfg.li_tol)
 
     def work(q: Discriminant) -> QRecord:
-        group = group_loader(q)
+        group = class_group(q)
         pis = pi_repr_all(X, group, sieve)
         devs = [
             abs(float(pis[i]) - li_x / (group.e[i] * group.h))
@@ -404,10 +403,9 @@ def bv_statistic(
     sieve: SieveTables,
     cfg: StatConfig = StatConfig(),
     threads: int = 1,
-    group_loader=None,
 ) -> DiscrepancyReport:
     """Family sum of max-over-class deviations |pi(X;q,C) - li(X)/(e(C)h(q))|."""
-    return _scan("bv", Q, X, sieve, cfg, threads, group_loader or class_group)
+    return _scan("bv", Q, X, sieve, cfg, threads)
 
 
 def bdh_statistic(
@@ -416,10 +414,9 @@ def bdh_statistic(
     sieve: SieveTables,
     cfg: StatConfig = StatConfig(),
     threads: int = 1,
-    group_loader=None,
 ) -> DiscrepancyReport:
     """Family sum over classes of squared deviations, mean-square analogue."""
-    return _scan("bdh", Q, X, sieve, cfg, threads, group_loader or class_group)
+    return _scan("bdh", Q, X, sieve, cfg, threads)
 
 
 def divisor_frequency(discs: list[Discriminant], Q: float) -> float:

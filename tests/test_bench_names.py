@@ -1,13 +1,14 @@
 """The names the benchmark reads must exist in the package.
 
 perfbench/tracing.py wraps qforms functions by name from outside the
-package, and the workloads and their untimed oracles read qforms
-attributes; a deletion or rename here would only surface when the
-benchmark runs.  tracing.py imports nothing but the standard library, so
-it is loaded from its file without running the benchmark; the workloads
-and oracles are only parsed.
+package, the workloads and their untimed oracles read qforms attributes,
+and the workloads call the CLI with fixed option lists; a deletion or
+rename here would only surface when the benchmark runs.  tracing.py
+imports nothing but the standard library, so it is loaded from its file
+without running the benchmark; the workloads and oracles are only parsed.
 """
 
+import argparse
 import ast
 import importlib
 import importlib.util
@@ -15,6 +16,7 @@ import sys
 from pathlib import Path
 
 import qforms
+from qforms import cli
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
@@ -60,3 +62,29 @@ def test_benchmark_attributes_resolve_in_qforms():
     group = qforms.class_group(-39)
     assert group.h == len(group.classes) == len(group.orders) == 4
     assert group.composition.shape == (4, 4)
+
+
+def _subcommand_parsers():
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_benchmark_cli_options_are_accepted():
+    # every argv list literal of the workloads that starts with a subcommand
+    # name: each option in it must still be one of that subcommand's options
+    parsers = _subcommand_parsers()
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    checked = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.List) and node.elts):
+            continue
+        words = [e.value if isinstance(e, ast.Constant) else None for e in node.elts]
+        if words[0] not in parsers:
+            continue
+        accepted = parsers[words[0]]._option_string_actions
+        for word in words[1:]:
+            if isinstance(word, str) and word.startswith("-"):
+                assert word in accepted, (words[0], word)
+                checked.add(word)
+    assert {"-Q", "-N", "--cache", "--mn-limit", "--trials", "--seed"} <= checked

@@ -16,7 +16,7 @@ import pytest
 from qforms import cache, forms, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import WTable, build_w_table
-from qforms.cli import MAX_THREADS, RunConfig, UsageError, main
+from qforms.cli import MAX_Q, MAX_THREADS, RunConfig, UsageError, main
 from qforms.forms import QuadForm, class_group
 
 
@@ -39,19 +39,11 @@ def test_cache_roundtrip(tmp_path):
     assert loaded_table.N == 200
 
 
-def test_cache_roundtrip_without_table(tmp_path):
-    q = classify_discriminant(-3)
-    group = class_group(q)
-    path = cache.cache_path(tmp_path, q)
-    cache.save_entry(path, group)
-    loaded, loaded_table = cache.load_entry(path)
-    assert loaded.h == 1 and loaded_table is None
-
-
 def test_cache_rejects_corruption(tmp_path):
     q = classify_discriminant(-23)
+    group = class_group(q)
     path = cache.cache_path(tmp_path, q)
-    cache.save_entry(path, class_group(q))
+    cache.save_entry(path, group, build_w_table(group, 50))
     blob = path.read_bytes()
     path.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(cache.CacheError):
@@ -198,15 +190,16 @@ def test_round_trip_derives_the_structure_of_a_fresh_group(tmp_path, monkeypatch
 
 def test_load_or_build_rebuilds_on_version_bump(tmp_path, monkeypatch):
     q = classify_discriminant(-23)
+    group = class_group(q)
     path = cache.cache_path(tmp_path, q)
-    cache.save_entry(path, class_group(q))
+    cache.save_entry(path, group, build_w_table(group, 50))
     # bump the version byte in the header: entry must be rebuilt, not trusted
     blob = bytearray(path.read_bytes())
     blob[4] = 99
     path.write_bytes(bytes(blob))
     warnings = []
-    group, _ = cache.load_or_build(q, tmp_path, warn=warnings.append)
-    assert group.h == 3
+    group, table = cache.load_or_build(q, tmp_path, n_limit=50, warn=warnings.append)
+    assert group.h == 3 and table.N == 50
     assert warnings and "rebuilt" in warnings[0]
 
 
@@ -244,9 +237,11 @@ def test_failed_save_leaves_no_temp_file(tmp_path, monkeypatch):
     def refuse(*_args):
         raise OSError("disk full")
 
+    group = class_group(q)
+    table = build_w_table(group, 50)
     monkeypatch.setattr(cache.os, "replace", refuse)
     with pytest.raises(OSError):
-        cache.save_entry(path, class_group(q))
+        cache.save_entry(path, group, table)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -448,12 +443,14 @@ def test_tabulate_idempotent_and_transparent(tmp_path, capsys):
     assert code == 0 and "reused" in out
     stamps2 = {p.name: p.stat().st_mtime_ns for p in (tmp_path / "cache").iterdir()}
     assert stamps == stamps2  # second run touches no blob
-    # cached answers match cold ones, byte for byte
+    # answers with the tabulated cache as default match cold ones, byte for byte
     for q in fundamental_discriminants(60):
         argv = ["classgroup", "-q", str(q.q), "--format", "json"]
         code, cold, _ = run_cli(capsys, *argv)
         assert code == 0
-        code, warm, err = run_cli(capsys, *argv, "--cache", cache_dir)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("QFORMS_CACHE", cache_dir)
+            code, warm, err = run_cli(capsys, *argv)
         assert code == 0 and err == "" and cold == warm
 
 
@@ -535,28 +532,107 @@ def test_tabulate_rewrites_a_corrupt_blob(tmp_path, capsys):
     assert np.array_equal(table.w, build_w_table(class_group(q), 100).w)
 
 
-def test_corrupt_cache_recovers_with_warning(tmp_path, capsys):
+def _blob_without_weights(group):
+    """A checksum-valid blob of group's forms with N = 0 and no w, the
+    layout that once held a class group alone."""
+    forms_bytes = np.array([(f.a, f.b, f.c) for f in group.classes], "<i8").tobytes()
+    header = cache._HEADER.pack(b"QFGC", 3, group.q.q, group.h)
+    return _reseal(header + forms_bytes + cache._TABLE.pack(0, 1))
+
+
+def test_blob_without_weights_is_refused_and_rewritten(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
-    cache_dir.mkdir()
-    (cache_dir / "23.qfgc").write_bytes(b"not a cache blob")
-    code, out, err = run_cli(
-        capsys, "classgroup", "-q", "-23", "--cache", str(cache_dir)
-    )
-    assert code == 0
-    assert "h = 3" in out
-    assert "warning:" in err
-
-
-def test_classgroup_rebuilds_a_subgroup_blob(tmp_path, capsys):
+    family = fundamental_discriminants(60)
+    run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
     q = classify_discriminant(-39)
-    group = class_group(q)
-    _save_reordered(
-        cache.cache_path(tmp_path, q), group, build_w_table(group, 50), REORDERED["subgroup"]
-    )
-    code, out, err = run_cli(capsys, "classgroup", "-q", "-39", "--cache", str(tmp_path))
+    path = cache.cache_path(cache_dir, q)
+    fresh = path.read_bytes()
+    path.write_bytes(_blob_without_weights(class_group(q)))
+    with pytest.raises(cache.CacheError, match="implausible"):
+        cache.load_entry(path)
+    code, out, err = run_cli(capsys, "tabulate", "-Q", "60", "-N", "100", "--cache", str(cache_dir))
     assert code == 0
-    assert "h = 4" in out and "C4" in out
-    assert err.count("rebuilt") == 1
+    assert out == f"tabulated 1 blob(s), reused {len(family) - 1}\n"
+    assert len(err.splitlines()) == 1 and err.startswith("warning:") and "39.qfgc" in err
+    assert path.read_bytes() == fresh
+
+
+def test_save_entry_refuses_a_table_without_weights(tmp_path):
+    q = classify_discriminant(-23)
+    path = cache.cache_path(tmp_path, q)
+    with pytest.raises(ValueError, match="N >= 1"):
+        cache.save_entry(path, class_group(q), WTable(q, 0, np.zeros((3, 1), np.int64)))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classgroup", "-q", "-23"),
+        ("scan-bv", "-Q", "30", "-X", "2000"),
+        ("scan-bdh", "-Q", "30", "-X", "2000"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_only_tabulate_takes_a_cache(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 1 and out == "" and err.startswith("error: usage:")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_tabulate_needs_N(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "tabulate", "-Q", "60", "--cache", str(tmp_path / "c"))
+    assert code == 1 and err.startswith("error: usage:")
+    assert not (tmp_path / "c").exists()
+
+
+READERS = [
+    ("classgroup", "-q", "-39", "--format", "json"),
+    ("classgroup", "-q", "-23"),
+    ("least-prime", "-q", "-39", "--format", "json"),
+    ("scan-bv", "-Q", "30", "-X", "2000"),
+    ("scan-bdh", "-Q", "30", "-X", "2000", "--format", "json"),
+]
+
+
+@pytest.mark.parametrize("contents", ["junk", "tabulated"])
+def test_commands_other_than_tabulate_never_read_the_cache(
+    tmp_path, capsys, monkeypatch, contents
+):
+    cold = {}
+    for argv in READERS:
+        code, cold[argv], err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+    cache_dir = tmp_path / "cache"
+    if contents == "junk":
+        cache_dir.mkdir()
+        for q in fundamental_discriminants(39):
+            cache.cache_path(cache_dir, q).write_bytes(b"not a cache blob")
+    else:
+        run_cli(capsys, "tabulate", "-Q", "39", "-N", "100", "--cache", str(cache_dir))
+    monkeypatch.setenv("QFORMS_CACHE", str(cache_dir))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("cache blob read")
+
+    monkeypatch.setattr(cache, "load_entry", refuse)
+    for argv in READERS:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "" and out == cold[argv], argv
+
+
+@pytest.mark.parametrize("command", ["classgroup", "least-prime"])
+def test_q_above_the_cap_is_refused_before_enumeration(capsys, monkeypatch, command):
+    def refuse(*_args):
+        raise AssertionError("reduced forms enumerated")
+
+    monkeypatch.setattr(forms, "_reduced_triples", refuse)
+    for q in (-1_000_000_000_007, -(MAX_Q + 3)):
+        code, out, err = run_cli(capsys, command, "-q", str(q))
+        assert code == 1 and out == "" and "exceeds cap" in err, err
+    RunConfig(argparse.Namespace(q=-MAX_Q))
+    with pytest.raises(UsageError, match="exceeds cap"):
+        RunConfig(argparse.Namespace(q=-MAX_Q - 1))
 
 
 def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
@@ -578,6 +654,6 @@ def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QFORMS_CACHE", str(tmp_path / "envcache"))
-    code, out, _ = run_cli(capsys, "tabulate", "-Q", "20")
+    code, out, _ = run_cli(capsys, "tabulate", "-Q", "20", "-N", "10")
     assert code == 0
     assert (tmp_path / "envcache").exists()
