@@ -4,7 +4,7 @@ Kronecker symbols, trial-division factorisation, classification and
 enumeration of negative fundamental discriminants, one sieve of
 Eratosthenes (a byte per entry, read-only once built and shared by the
 scans), the prime-power support of the von Mangoldt function, and the
-Dirichlet pair index of the identity checks.  Everything operates on
+Dirichlet convolution of the identity checks.  Everything operates on
 plain Python integers or numpy arrays; all quantities fit in signed 64-bit
 integers at the scales this package targets (|q| <= 1e6, n <= 1e8).
 """
@@ -12,10 +12,8 @@ integers at the scales this package targets (|q| <= 1e6, n <= 1e8).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -27,8 +25,7 @@ __all__ = [
     "factorize",
     "divisors",
     "kronecker_table",
-    "PairBlock",
-    "DirichletPairs",
+    "dirichlet_convolve",
     "is_fundamental_discriminant",
     "DiscriminantKind",
     "Discriminant",
@@ -140,98 +137,24 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet pair index
-
-_PAIR_BLOCK = 1 << 16  # pairs per block of the Dirichlet pair index
+# Dirichlet convolution
 
 
-def _pair_rows(L: int, k0: int, k1: int) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (k, j) with k0 <= k < k1 and k j <= L, ascending in k then j."""
-    ks = np.arange(k0, k1, dtype=np.int64)
-    counts = L // ks
-    ends = np.cumsum(counts)
-    k = np.repeat(ks, counts)
-    j = np.arange(1, ends[-1] + 1, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return k, j
+def dirichlet_convolve(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Dirichlet convolution sum_{k j = n} t1[k] t2[j] for n = 0..L (entry 0 is 0).
 
-
-@dataclass(eq=False)
-class PairBlock:
-    """Whole k-rows of a DirichletPairs index: pair i is (k[i], j[i]), n = k j."""
-
-    index: DirichletPairs = field(repr=False)
-    k: np.ndarray
-    j: np.ndarray
-
-    @cached_property
-    def n(self) -> np.ndarray:
-        return self.k * self.j
-
-    @cached_property
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(starts, d, n / d^2) over every pair and every divisor d of gcd(k, j).
-
-        The triples of pair i are starts[i] onwards, ascending in d; every
-        pair has d = 1, so starts suits np.add.reduceat.
-        """
-        first, tau, flat = self.index.gcd_divisors
-        g = np.gcd(self.k, self.j)
-        cnt = tau[g]
-        starts = np.cumsum(cnt) - cnt
-        rank = np.arange(int(starts[-1] + cnt[-1]), dtype=np.int64) - np.repeat(starts, cnt)
-        d = flat[np.repeat(first[g], cnt) + rank]
-        return starts, d, np.repeat(self.n, cnt) // (d * d)
-
-
-class DirichletPairs:
-    """The pairs (k, j) of positive integers with k j <= L, ascending in k then j.
-
-    There are about L log L pairs, so the index is produced in blocks of
-    whole k-rows of about _PAIR_BLOCK pairs, as the forms lattice kernel
-    does; memory stays O(L + block).  An index that fits in one block is
-    built once and shared by every pass over it, larger ones are rebuilt
-    block by block on each pass.
+    t1 and t2 are int64 arrays indexed by n = 0..L.  Every pair k j = n <= L
+    has min(k, j) <= isqrt(L) (the hyperbola method), so row m adds the pairs
+    (m, j >= m) and (k > m, m) as two strided slices.  Each slice touches
+    each n at most once, so the in-place int64 sums are exact; memory is O(L).
     """
-
-    def __init__(self, L: int, block: int = _PAIR_BLOCK):
-        if L < 1:
-            raise ValueError("L must be positive")
-        self.L = L
-        ends = np.cumsum(L // np.arange(1, L + 1, dtype=np.int64))
-        cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], block), side="right"))
-        # block b holds the rows k = cuts[b] + 1 .. cuts[b + 1]
-        self._cuts = cuts.tolist() + [L]
-        self._kept = self._block(0, L) if len(self._cuts) == 2 else None
-
-    def _block(self, r0: int, r1: int) -> PairBlock:
-        return PairBlock(self, *_pair_rows(self.L, r0 + 1, r1 + 1))
-
-    def blocks(self) -> Iterator[PairBlock]:
-        if self._kept is not None:
-            return iter((self._kept,))
-        return (self._block(r0, r1) for r0, r1 in itertools.pairwise(self._cuts))
-
-    @cached_property
-    def gcd_divisors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(first, tau, flat): the divisors of g are flat[first[g] : first[g] + tau[g]],
-        ascending, for every g <= isqrt(L), which bounds gcd(k, j) when k j <= L."""
-        top = math.isqrt(self.L)
-        k, j = _pair_rows(top, 1, top + 1)
-        n = k * j
-        tau = np.bincount(n, minlength=top + 1)
-        return np.cumsum(tau) - tau, tau, k[np.lexsort((k, n))]
-
-    def convolve(self, t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-        """Dirichlet convolution sum_{k j = n} t1[k] t2[j] for n = 0..L (entry 0 is 0).
-
-        t1 and t2 are integer arrays indexed by n = 0..L; the accumulation
-        is in int64, so the result is exact.  A per-block np.add.at costs
-        O(block), where a bincount would cost O(L) for every block.
-        """
-        out = np.zeros(self.L + 1, dtype=np.int64)
-        for blk in self.blocks():
-            np.add.at(out, blk.n, t1[blk.k] * t2[blk.j])
-        return out
+    L = t1.size - 1
+    out = np.zeros(L + 1, dtype=np.int64)
+    for m in range(1, math.isqrt(L) + 1):
+        hi = L // m
+        out[m * m : m * hi + 1 : m] += t1[m] * t2[m : hi + 1]
+        out[m * (m + 1) : m * hi + 1 : m] += t2[m] * t1[m + 1 : hi + 1]
+    return out
 
 
 def is_fundamental_discriminant(d: int) -> bool:

@@ -227,26 +227,22 @@ def lambda_table_int(chi: ClassCharacter, table: WTable) -> np.ndarray:
     return vals @ table.w
 
 
-def kronecker_factorize(
-    chi: ClassCharacter, table: WTable, check_limit: int | None = None
-) -> tuple[int, int]:
+def kronecker_factorize(chi: ClassCharacter, table: WTable) -> tuple[int, int]:
     """Split a real character's lambda into a convolution of Kronecker symbols.
 
     Returns fundamental discriminants (d1, d2), |d1| <= |d2|, with
     d1 * d2 = q and lambda_chi = (d1/.) * (d2/.) as a Dirichlet convolution,
-    verified exactly for n up to check_limit (default min(N, 1000)).  The
-    trivial character factors as (1, q).  A real character for which no
-    factorization verifies indicates an upstream bug and raises
-    IdentityViolation.
+    verified exactly for n up to min(N, 1000).  The trivial character
+    factors as (1, q).  A real character for which no factorization
+    verifies indicates an upstream bug and raises IdentityViolation.
     """
     if not chi.is_real:
         raise ValueError("kronecker_factorize requires a real character")
     q = int(chi.q)
     if chi.is_trivial:
         return (1, q)
-    limit = min(table.N, 1000) if check_limit is None else min(check_limit, table.N)
+    limit = min(table.N, 1000)
     lam = lambda_table_int(chi, table)[: limit + 1]
-    pairs = arith.DirichletPairs(limit)
     for a in arith.divisors(-q):
         if a == 1 or a == -q:
             continue
@@ -256,7 +252,7 @@ def kronecker_factorize(
                 continue
             if not arith.is_fundamental_discriminant(d2):
                 continue
-            conv = kronecker_convolution(d1, d2, pairs)
+            conv = kronecker_convolution(d1, d2, limit)
             if np.array_equal(conv[1:], lam[1:]):
                 return (d1, d2) if abs(d1) <= abs(d2) else (d2, d1)
     raise IdentityViolation(
@@ -264,6 +260,6 @@ def kronecker_factorize(
     )
 
 
-def kronecker_convolution(d1: int, d2: int, pairs: arith.DirichletPairs) -> np.ndarray:
-    """(d1/.) * (d2/.) Dirichlet convolution for n = 0..pairs.L, exact integers."""
-    return pairs.convolve(kronecker_table(d1, pairs.L), kronecker_table(d2, pairs.L))
+def kronecker_convolution(d1: int, d2: int, L: int) -> np.ndarray:
+    """(d1/.) * (d2/.) Dirichlet convolution for n = 0..L, exact integers."""
+    return arith.dirichlet_convolve(kronecker_table(d1, L), kronecker_table(d2, L))

@@ -63,6 +63,8 @@ class RunConfig:
             value = getattr(a, name, None)
             if value is not None and value <= 0:
                 raise UsageError(f"{name.replace('_', '-')} must be positive")
+        if getattr(a, "mn_limit", None) is not None and a.mn_limit > MAX_TABLE_N:
+            raise UsageError(f"mn-limit={a.mn_limit} exceeds cap {MAX_TABLE_N}")
         if getattr(a, "cap", None) is not None and a.cap > MAX_X:
             raise UsageError(f"cap exceeds {MAX_X}")
         if getattr(a, "threads", None) is not None and a.threads > MAX_THREADS:

@@ -6,8 +6,10 @@ reference envelope (N (log N)^3 + sqrt(N) (log N) Q^(5/2+eps)) * sum |a_n|^2
 as a ratio experiment.  The experiment forms no lambda row: it takes the
 class sums S_C = sum_n a_n w(C, n) of a block of trials from one matrix
 product, and character orthogonality turns them into the mean square, an
-exact integer for integer coefficients.  The Hecke product relation and the
-real-character convolution identity are verified exactly over scan ranges.
+exact integer for integer coefficients; sieve_lhs recomputes it from the
+complex lambda rows as an independent check.  The Hecke product relation and
+the real-character convolution identity are verified exactly over every pair
+m n <= L, row by row over m <= isqrt(L) (min(m, n) <= isqrt(L) for each pair).
 """
 
 from __future__ import annotations
@@ -116,8 +118,8 @@ def complex_character_lambdas(Q: float, N: int) -> np.ndarray:
     rows = []
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
-        if group.h <= 2:
-            continue  # all characters real
+        if all(f.is_ambiguous for f in group.classes):
+            continue  # every class its own inverse: all characters real
         table = build_w_table(group, N)
         for chi in characters(group):
             if not chi.is_real:
@@ -193,12 +195,15 @@ def sieve_lhs(Q: float, N: int, coeffs: np.ndarray) -> float:
     """sum over complex characters of |sum_n a_n lambda_chi(n)|^2.
 
     coeffs has length N + 1 with slot 0 ignored (a_n = coeffs[n]).  Computed
-    from the class sums as in run_sieve_experiment.
+    from the complex lambda rows of complex_character_lambdas, independently
+    of the class sums run_sieve_experiment uses, so it serves as its oracle.
     """
     coeffs = np.asarray(coeffs)
     if coeffs.shape != (N + 1,):
         raise ValueError("coeffs must have length N + 1 (slot 0 unused)")
-    return float(_class_sums(Q, N).lhs(coeffs[1:, None].astype(np.float64))[0])
+    rows = complex_character_lambdas(Q, N)
+    sums = rows[:, 1:] @ coeffs[1:].astype(np.complex128)
+    return float((np.abs(sums) ** 2).sum())
 
 
 def ratio_denominator(Q: float, N: int, eps: float, coeff_square_sum: float) -> float:
@@ -271,33 +276,50 @@ def hecke_check(Q: float, mn_limit: int, tol: float = 1e-9) -> list[HeckeViolati
     """Verify lambda(m) lambda(n) = sum_{d | gcd(m,n)} (q/d) lambda(mn/d^2)
     for every character of every scan q with |q| <= Q and all m n <= mn_limit.
 
+    Every such pair has min(m, n) <= isqrt(mn_limit), so row m checks
+    n = m..mn_limit // m with strided slices of the lambda rows: the term of
+    d is lambda(e (n/d)) with e = m/d at the n divisible by d.  Both sides
+    are symmetric in m and n and computed by the same operations, so (n, m)
+    has the error of (m, n): a violation (m, n) with n > m is also reported
+    as (n, m).
+
     Returns the violations beyond tol, ordered by q, m, character, n;
     empty on success.
     """
     out = []
-    pairs = arith.DirichletPairs(mn_limit)
+    top = math.isqrt(mn_limit)
+    divs = [arith.divisors(m)[1:] for m in range(1, top + 1)]  # divs[m - 1]: d > 1
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
         table = build_w_table(group, mn_limit)
         chars = characters(group)
         lam = np.vstack([lambda_table(chi, table) for chi in chars])
-        chi_q = kronecker_table(q.q, math.isqrt(mn_limit))
-        for blk in pairs.blocks():
-            starts, d, v = blk.triples
-            weight = chi_q[d]
-            err = np.empty((len(chars), blk.k.size))
-            for ci, row in enumerate(lam):  # one row at a time bounds memory
-                diff = row[blk.k] * row[blk.j]
-                diff -= np.add.reduceat(row[v] * weight, starts)
-                err[ci] = np.abs(diff)
+        chi_q = kronecker_table(q.q, top).tolist()
+        found = []  # (m, n, character, error) arrays of the violations
+        for m in range(1, top + 1):
+            hi = mn_limit // m
+            rhs = lam[:, m * m : m * hi + 1 : m].copy()
+            for d in divs[m - 1]:
+                if chi_q[d]:
+                    e = m // d
+                    rhs[:, ::d] += chi_q[d] * lam[:, e * e : e * (hi // d) + 1 : e]
+            err = np.abs(lam[:, m, None] * lam[:, m : hi + 1] - rhs)
+            if err.max() <= tol:
+                continue
             ci, idx = np.nonzero(err > tol)
-            m, n = blk.k[idx], blk.j[idx]
-            for i in np.lexsort((n, ci, m)):
-                out.append(
-                    HeckeViolation(
-                        q.q, chars[ci[i]].exponents, int(m[i]), int(n[i]), float(err[ci[i], idx[i]])
-                    )
+            n, error = idx + m, err[ci, idx]
+            mirror = n > m
+            found.append((np.full_like(n, m), n, ci, error))
+            found.append((n[mirror], np.full_like(n[mirror], m), ci[mirror], error[mirror]))
+        if not found:
+            continue
+        m, n, ci, error = map(np.concatenate, zip(*found))
+        for i in np.lexsort((n, ci, m)):
+            out.append(
+                HeckeViolation(
+                    q.q, chars[ci[i]].exponents, int(m[i]), int(n[i]), float(error[i])
                 )
+            )
     return out
 
 
@@ -306,7 +328,6 @@ def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
     Dirichlet convolution of the Kronecker symbols of its factorization,
     for n <= N and every scan q with |q| <= Q."""
     out = []
-    pairs = arith.DirichletPairs(N)
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
         table = build_w_table(group, N)
@@ -314,7 +335,7 @@ def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
             if not chi.is_real:
                 continue
             d1, d2 = kronecker_factorize(chi, table)
-            conv = kronecker_convolution(d1, d2, pairs)
+            conv = kronecker_convolution(d1, d2, N)
             lam = lambda_table_int(chi, table)
             for n in np.nonzero(conv[1:] != lam[1:])[0]:
                 out.append(

@@ -108,35 +108,15 @@ def test_kronecker_table_rejects_non_fundamental():
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet pair index
+# Dirichlet convolution
 
 
-@pytest.mark.parametrize("L", [1, 2, 12, 97, 360])
-@pytest.mark.parametrize("block", [1, 50, 1 << 16])
-def test_dirichlet_pairs_match_brute_force(L, block):
-    pairs = arith.DirichletPairs(L, block)
-    got_pairs, got_triples = [], []
-    for blk in pairs.blocks():
-        starts, d, v = blk.triples
-        ends = starts[1:].tolist() + [d.size]
-        for i, (k, j) in enumerate(zip(blk.k.tolist(), blk.j.tolist())):
-            assert blk.n[i] == k * j
-            got_pairs.append((k, j))
-            got_triples.append((d[starts[i] : ends[i]].tolist(), v[starts[i] : ends[i]].tolist()))
-    want = [(k, j) for k in range(1, L + 1) for j in range(1, L // k + 1)]
-    assert got_pairs == want
-    for (k, j), (ds, vs) in zip(want, got_triples):
-        divs = [d for d in range(1, math.gcd(k, j) + 1) if k % d == 0 and j % d == 0]
-        assert ds == divs
-        assert vs == [k * j // (d * d) for d in divs]
-
-
-@pytest.mark.parametrize("block", [7, 1 << 16])
-def test_dirichlet_convolution_matches_brute_force(block):
-    L = 300
-    rng = np.random.default_rng(5)
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 12, 97, 300, 360])
+def test_dirichlet_convolution_matches_brute_force(L):
+    # perfect squares and their neighbours sit on the isqrt(L) row boundary
+    rng = np.random.default_rng(L)
     t1, t2 = rng.integers(-3, 4, size=(2, L + 1))
-    conv = arith.DirichletPairs(L, block).convolve(t1, t2)
+    conv = arith.dirichlet_convolve(t1, t2)
     assert conv.dtype == np.int64
     want = [0] + [
         sum(int(t1[k]) * int(t2[n // k]) for k in range(1, n + 1) if n % k == 0)

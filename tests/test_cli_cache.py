@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforms import cache, forms, stats
+from qforms import cache, forms, sievelab, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import WTable, build_w_table
-from qforms.cli import MAX_Q, MAX_THREADS, RunConfig, UsageError, main
+from qforms.cli import MAX_Q, MAX_TABLE_N, MAX_THREADS, RunConfig, UsageError, main
 from qforms.forms import QuadForm, class_group
 
 
@@ -650,6 +650,22 @@ def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
     RunConfig(argparse.Namespace(threads=MAX_THREADS))
     with pytest.raises(UsageError, match="exceeds cap"):
         RunConfig(argparse.Namespace(threads=MAX_THREADS + 1))
+
+
+def test_mn_limit_above_the_cap_is_refused(capsys, monkeypatch):
+    # the Hecke check tabulates h x (mn_limit + 1) weights: refused by
+    # RunConfig before either identity check starts
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("identity check started")
+
+    monkeypatch.setattr(sievelab, "hecke_check", refuse)
+    monkeypatch.setattr(sievelab, "convolution_check", refuse)
+    for limit in (10**13, MAX_TABLE_N + 1):
+        code, out, err = run_cli(capsys, "check-identities", "-Q", "3", "--mn-limit", str(limit))
+        assert code == 1 and out == "" and "exceeds cap" in err, err
+    RunConfig(argparse.Namespace(mn_limit=MAX_TABLE_N))
+    with pytest.raises(UsageError, match="exceeds cap"):
+        RunConfig(argparse.Namespace(mn_limit=MAX_TABLE_N + 1))
 
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):

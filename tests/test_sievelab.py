@@ -197,10 +197,14 @@ def _exact_lhs(Q, N, a):
 def test_lhs_is_exact_integer():
     Q, N = 60, 400
     rng = np.random.default_rng(3)
+    sums = sievelab._class_sums(Q, N)
     for a in (rng.integers(-3, 4, size=N + 1).tolist(), [0] + [1] * N):
         exact = _exact_lhs(Q, N, a)
         assert exact > 0
-        assert sieve_lhs(Q, N, np.array(a, dtype=np.float64)) == exact
+        coeffs = np.array(a, dtype=np.float64)
+        assert sums.lhs(coeffs[1:, None])[0] == exact
+        # the oracle sums complex lambda rows, so it is exact only to rounding
+        assert sieve_lhs(Q, N, coeffs) == pytest.approx(exact, rel=1e-12)
     cfg = SieveExperimentConfig(Q=Q, N=N, trials=3, seed=4)
     rng = np.random.default_rng(cfg.seed)
     for ratio in run_sieve_experiment(cfg).ratios:
@@ -236,6 +240,34 @@ def test_reference_catches_unsubtracted_trivial_character(monkeypatch):
     assert not _matches_reference(FAULT_CFG)
 
 
+def test_sieve_lhs_catches_dropped_inverse_copy(monkeypatch):
+    # sieve_lhs is the benchmark's oracle for the experiment: it must not
+    # share the class-sum path, so a fault there shows as a disagreement
+    cfg = FAULT_CFG
+
+    def oracle_ratios():
+        rng = np.random.default_rng(cfg.seed)
+        ratios = []
+        for _ in range(cfg.trials):
+            a = np.zeros(cfg.N + 1)
+            a[1:] = rng.integers(0, 2, size=cfg.N) * 2 - 1
+            lhs = sieve_lhs(cfg.Q, cfg.N, a)
+            ratios.append(lhs / ratio_denominator(cfg.Q, cfg.N, cfg.eps, float(cfg.N)))
+        return ratios
+
+    expected = oracle_ratios()
+    assert run_sieve_experiment(cfg).ratios == pytest.approx(expected, rel=1e-12)
+    real = sievelab._inverse_pairs
+
+    def single_rows(group):
+        reps, sizes = real(group)
+        return reps, np.ones_like(sizes)  # C^-1 no longer counted with C
+
+    monkeypatch.setattr(sievelab, "_inverse_pairs", single_rows)
+    assert oracle_ratios() == expected
+    assert run_sieve_experiment(cfg).ratios != pytest.approx(expected, rel=1e-9)
+
+
 @pytest.mark.parametrize("trials", [100, 1000])
 def test_experiment_memory_bounded_in_trials(trials):
     cfg = SieveExperimentConfig(Q=300, N=10_000, trials=trials, seed=5)
@@ -266,8 +298,8 @@ def test_hecke_check_clean_small():
 
 
 # ---------------------------------------------------------------------------
-# slow-path references: the identity checks as loops over m and k with
-# scalar Kronecker symbols, as they were before the Dirichlet pair index
+# slow-path references: the identity checks as loops over every m and k
+# with scalar Kronecker symbols
 
 
 def _hecke_reference(Q, mn_limit, tol):
@@ -354,6 +386,14 @@ def test_hecke_check_flags_everything_at_negative_tolerance():
     _assert_same_hecke(fast, reference)
 
 
+def test_hecke_check_matches_reference_at_every_small_limit():
+    # small limits cover the isqrt(mn_limit) row boundary and the mirrored
+    # pairs (n, m) with n > m
+    for L in range(1, 27):
+        fast = _hecke_tuples(hecke_check(40, L, tol=-1.0))
+        _assert_same_hecke(fast, _hecke_reference(40, L, tol=-1.0))
+
+
 def test_hecke_check_catches_planted_fault(planted_fault):
     violations = hecke_check(60, 1200)
     assert violations
@@ -378,8 +418,8 @@ def test_convolution_check_catches_planted_fault(planted_fault):
 
 def test_identity_checks_bounded_memory():
     for check, args, bound_mb in (
-        (convolution_check, (20, 200_000), 32),
-        (hecke_check, (20, 20_000), 16),
+        (convolution_check, (20, 200_000), 16),
+        (hecke_check, (20, 20_000), 6),
     ):
         tracemalloc.start()
         try:
