@@ -111,17 +111,20 @@ def test_kronecker_table_rejects_non_fundamental():
 # Dirichlet convolution
 
 
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 12, 97, 300, 360])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 12, 97, 300, 360, 1 << 16])
 def test_dirichlet_convolution_matches_brute_force(L):
-    # perfect squares and their neighbours sit on the isqrt(L) row boundary
+    # perfect squares (up to 2^16 = 256^2) and their neighbours sit on the
+    # isqrt(L) row boundary
     rng = np.random.default_rng(L)
     t1, t2 = rng.integers(-3, 4, size=(2, L + 1))
     conv = arith.dirichlet_convolve(t1, t2)
     assert conv.dtype == np.int64
-    want = [0] + [
-        sum(int(t1[k]) * int(t2[n // k]) for k in range(1, n + 1) if n % k == 0)
-        for n in range(1, L + 1)
-    ]
+    # every pair k j <= L, with no hyperbola split
+    a, b = t1.tolist(), t2.tolist()
+    want = [0] * (L + 1)
+    for k in range(1, L + 1):
+        for j in range(1, L // k + 1):
+            want[k * j] += a[k] * b[j]
     assert conv.tolist() == want
 
 
