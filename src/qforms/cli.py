@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 cap-exceeded/unresolved search,
-3 internal identity violation.  Errors print one machine-parseable line
+Exit codes: 0 success, 1 usage error (a value above a cap included), 2 a
+least-prime search that hit its cap unresolved, 3 internal identity
+violation.  Errors print one machine-parseable line
 `error: <category>: <message>` on stderr.
 
 Only `tabulate` touches the cache: it writes the weight tables into

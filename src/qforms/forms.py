@@ -20,7 +20,10 @@ visits only the points whose value is prime to M: f(x, y) mod M depends on
 x and y mod M alone, so each row splits into sub-rows of stride M, one for
 each residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the whole half
 lattice; the prime counts of stats use M = 6, which keeps about a quarter
-of the points and every prime p >= 5.
+of the points and every prime p >= 5.  An ambiguous form (b = 0, b = a or
+a = c) has an improper automorphism that pairs the points of its half
+lattice; asked for its wedge, the kernel walks one point of each pair and
+leaves the fixed points out (_wedge_rows, _fixed_line_values).
 """
 
 from __future__ import annotations
@@ -484,19 +487,72 @@ def _coprime_residues(abc: np.ndarray, M: int) -> np.ndarray:
     return np.array([_residue_table(a % M, b % M, c % M, M) for a, b, c in abc.tolist()])
 
 
-def _half_lattice_values(abc, limit: int, M: int = 1, offsets: np.ndarray | None = None):
+def _wedge_rows(
+    abc: np.ndarray, form: np.ndarray, y: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of _half_rows clipped to the wedge of each ambiguous form.
+
+    A form with b = 0, b = a or a = c has an improper automorphism sigma
+    (x -> -x; x -> -x - y; x <-> y), and sigma or -sigma maps the half
+    lattice onto itself, pairing its points.  The wedge holds one point of
+    each pair that is not a fixed point: x >= 1 for b = 0, x > -y/2 for
+    b = a, |x| < y for a = c, and never the y = 0 row.  A form of two kinds
+    (q = -3, -4) takes the first.  The half lattice is thus twice the wedge
+    plus the fixed points, whose only prime values are those of
+    _fixed_line_values.
+    """
+    a, b, c = abc.T
+    b0 = b == 0
+    ba = (b == a) & ~b0
+    ac = (a == c) & ~b0 & ~ba
+    if not (b0 | ba | ac).all():
+        raise ValueError("the wedge needs forms with b = 0, b = a or a = c")
+    keep = y > 0
+    form, y, lo, hi = form[keep], y[keep], lo[keep], hi[keep]
+    on_ba, on_ac = ba[form], ac[form]
+    floor = np.where(on_ba, -((y - 1) // 2), 1)
+    floor[on_ac] = 1 - y[on_ac]
+    return form, y, np.maximum(lo, floor), np.where(on_ac, np.minimum(hi, y - 1), hi)
+
+
+def _fixed_line_values(a: int, b: int, c: int) -> tuple[int, int]:
+    """The values at the first half-lattice point of each line the wedge leaves out.
+
+    For b = 0 the y = 0 row and the line x = 0, at (1, 0) and (0, 1); for
+    b = a the y = 0 row and y = -2x, at (1, 0) and (-1, 2); for a = c the
+    lines x = y and x = -y, at (1, 1) and (-1, 1).  The t-th point of each
+    line has t^2 times that value, so no other fixed point is prime.
+    """
+    if b == 0:
+        return a, c
+    if b == a:
+        return a, 4 * c - a
+    return 2 * a + b, 2 * a - b
+
+
+def _half_lattice_values(
+    abc,
+    limit: int,
+    M: int = 1,
+    offsets: np.ndarray | None = None,
+    wedge: bool = False,
+):
     """Values of a batch of forms on their half lattices up to limit, in chunks.
 
     abc is an (F, 3) batch of forms (a, b, c), all of their rows walked in
     one pass; offsets[k], if given, is added to every value of form k, so
-    disjoint offsets tell the forms apart.  With M > 1 only the points with
-    gcd(f(x, y), M) = 1 are visited, as sub-rows x = first, first + M, ...
-    of each row.  Whole sub-rows are grouped into chunks of about _CHUNK
-    values, so a chunk's size is at most _CHUNK plus one row, and memory
-    stays O(_CHUNK + F M sqrt(limit)) at any limit.
+    disjoint offsets tell the forms apart.  With wedge, every form must be
+    ambiguous (b = 0, b = a or a = c) and only its wedge is walked
+    (_wedge_rows).  With M > 1 only the points with gcd(f(x, y), M) = 1 are
+    visited, as sub-rows x = first, first + M, ... of each row.  Whole
+    sub-rows are grouped into chunks of about _CHUNK values, so a chunk's
+    size is at most _CHUNK plus one row, and memory stays
+    O(_CHUNK + F M sqrt(limit)) at any limit.
     """
     abc = np.asarray(abc, dtype=np.int64)
     form, y, lo, hi = _half_rows(abc, limit)
+    if wedge:
+        form, y, lo, hi = _wedge_rows(abc, form, y, lo, hi)
     if M > 1:
         rows, rx = np.nonzero(_coprime_residues(abc, M)[form, y % M])
         lo = lo[rows]

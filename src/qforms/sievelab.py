@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import kronecker_table
+from .arith import IdentityViolation, kronecker_table
 from .characters import (
     build_w_table,
     characters,
@@ -115,18 +115,21 @@ def complex_character_lambdas(Q: float, N: int) -> np.ndarray:
     (number of characters, N + 1); possibly zero rows.  The experiment
     itself works from the class sums instead (see run_sieve_experiment).
     """
-    rows = []
-    for q in arith.fundamental_discriminants(Q):
-        group = class_group(q)
-        if all(f.is_ambiguous for f in group.classes):
-            continue  # every class its own inverse: all characters real
+    # a finite abelian group has as many real characters as classes of
+    # order <= 2, so one complex character per non-ambiguous class; a group
+    # of ambiguous classes only has none
+    groups = [g for g in map(class_group, arith.fundamental_discriminants(Q)) if 1 in g.e]
+    rows = np.empty((sum(g.e.count(1) for g in groups), N + 1), dtype=np.complex128)
+    r = 0
+    for group in groups:
         table = build_w_table(group, N)
-        for chi in characters(group):
-            if not chi.is_real:
-                rows.append(lambda_table(chi, table))
-    if not rows:
-        return np.zeros((0, N + 1), dtype=np.complex128)
-    return np.vstack(rows)
+        chars = [chi for chi in characters(group) if not chi.is_real]
+        if len(chars) != group.e.count(1):
+            raise IdentityViolation(f"q={group.q.q}: complex characters != non-ambiguous classes")
+        for chi in chars:
+            rows[r] = lambda_table(chi, table)
+            r += 1
+    return rows
 
 
 # Trials whose coefficients are drawn and summed in one matrix product; the

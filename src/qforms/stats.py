@@ -23,6 +23,7 @@ from .characters import ClassCharacter, WTable, lambda_table, w_units
 from .forms import (
     FormClassGroup,
     QuadForm,
+    _fixed_line_values,
     _half_lattice_values,
     class_group,
     representation_count,
@@ -132,6 +133,11 @@ def _small_primes_represented(f: QuadForm, limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit and representation_count(f, p) > 0]
 
 
+def _fixed_primes(f: QuadForm, limit: int, flags: np.ndarray) -> list[int]:
+    """The primes 5 <= p <= limit among an ambiguous form's fixed-line values."""
+    return [p for p in _fixed_line_values(*f) if 5 <= p <= limit and flags[p]]
+
+
 def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
     """pi(X; q, C) for every class C: primes p <= X represented by C.
 
@@ -147,6 +153,13 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
     5 <= p <= X that C represents.  A count that u does not divide, or an
     odd hits/u + ram_C, raises IdentityViolation.  The primes 2 and 3 are
     checked by representation_count.
+
+    An ambiguous class walks only the wedge of its form, one point of each
+    pair that its improper automorphism swaps (forms._wedge_rows): the half
+    lattice holds hits = 2 hits_wedge + F, with F the primes 5 <= p <= X
+    among the form's two fixed-line values.  For |q| > 4 (u = 1) these are
+    the ramified primes it represents, so F != ram_C raises
+    IdentityViolation, and pi = hits_wedge + F.
     """
     if X > sieve.limit:
         raise ValueError("X beyond sieve limit")
@@ -162,18 +175,31 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
     for i, f in enumerate(group.classes):
         key = (f.a, abs(f.b), f.c)
         if key not in counts:
+            ambiguous = f.is_ambiguous
             hits = sum(
                 int(np.count_nonzero(sieve.flags[vals]))
-                for vals in _half_lattice_values([tuple(f)], limit, _MODULUS)
+                for vals in _half_lattice_values([tuple(f)], limit, _MODULUS, wedge=ambiguous)
             )
-            ideals, rem = divmod(hits, u)
-            if f.is_ambiguous:
+            rem = 0
+            if not ambiguous:
+                primes, rem = divmod(hits, u)
+            elif u == 1:
                 ram = sum(1 for p in ramified if representation_count(f, p) > 0)
-                ideals, odd = divmod(ideals + ram, 2)
+                if len(_fixed_primes(f, limit, sieve.flags)) != ram:
+                    raise IdentityViolation(
+                        f"fixed-line primes of {tuple(f)} are not its ramified primes"
+                    )
+                primes = hits + ram
+            else:
+                # q = -3, -4: the full half lattice's count, as above
+                fixed = len(_fixed_primes(f, limit, sieve.flags))
+                ram = sum(1 for p in ramified if representation_count(f, p) > 0)
+                primes, rem = divmod(2 * hits + fixed, u)
+                primes, odd = divmod(primes + ram, 2)
                 rem = rem or odd
             if rem:
                 raise IdentityViolation(f"prime count of {tuple(f)} is not a whole number of ideals")
-            counts[key] = ideals + len(_small_primes_represented(f, limit))
+            counts[key] = primes + len(_small_primes_represented(f, limit))
         out[i] = counts[key]
     return out
 
@@ -229,7 +255,8 @@ def discrepancy_E_k(
     and cfg.y_grid_count plays no part.  For k >= 1 the Y maximum runs over
     a uniform grid of y_grid_count points, evaluated in chunks of grid
     columns, each one (h x P) @ (P x columns) product of the masked terms
-    log p * log(Y/n)^k * [n <= Y].  Identically zero when h(q) = 1.
+    log p * log(Y/n)^k * [n <= Y] over the prime powers n with w(C, n) > 0
+    for some class.  Identically zero when h(q) = 1.
     """
     if X > table.N:
         raise ValueError("X beyond table limit")
@@ -245,7 +272,10 @@ def discrepancy_E_k(
         np.cumsum(s, axis=1, out=s)
         s -= s.mean(axis=0)
         return float(np.abs(s, out=s).max())
-    wsub = table.w[:, ns].astype(np.float64)
+    w = table.w[:, ns]
+    # a prime power that no class represents adds zero to every row
+    keep = w.any(axis=0)
+    wsub = w[:, keep].astype(np.float64)
     grid = X * np.arange(1, cfg.y_grid_count + 1) / cfg.y_grid_count
     kfact = math.factorial(k)
     step = max(1, _GRID_CHUNK_TERMS // ns.size)
@@ -255,15 +285,16 @@ def discrepancy_E_k(
         # terms with n > Y are masked: rows past the chunk's last Y are
         # skipped, and a column with Y < 2 stays zero
         m = int(np.searchsorted(ns, ys[-1], side="right"))
-        n_col = ns[:m, None]
+        rows = keep[:m]
+        n_col = ns[:m][rows, None]
         log_ratio = ys / n_col
         np.log(log_ratio, out=log_ratio)
         # repeated products: np.power calls libm pow per term, several times slower
-        t = logs[:m, None] * log_ratio
+        t = logs[:m][rows, None] * log_ratio
         for _ in range(k - 1):
             t *= log_ratio
         t *= n_col <= ys
-        vals = wsub[:, :m] @ t / kfact
+        vals = wsub[:, : n_col.shape[0]] @ t / kfact
         vals -= vals.mean(axis=0)
         best = max(best, float(np.abs(vals, out=vals).max()))
     return best
@@ -476,7 +507,9 @@ def least_primes(
     Every class steps through the same bounds, so one prime flag table per
     bound serves all the classes still unresolved there.  Within each bound,
     2 and 3 are checked one by one and the primes p >= 5 gathered at the
-    lattice points coprime to 6, as in pi_repr_all.  The scan never extends
+    lattice points coprime to 6, as in pi_repr_all: an ambiguous class (the
+    principal one among them) on its wedge plus its fixed-line primes, which
+    the wedge leaves out.  The scan never extends
     past cap; an unsuccessful search reports status "unresolved" rather than
     a wrong answer.
     """
@@ -497,9 +530,12 @@ def least_primes(
                 continue
             if flags is None:
                 flags = arith.prime_flags(bound)
-            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS)
+            ambiguous = f.is_ambiguous
+            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS, wedge=ambiguous)
             chunks = (vals[flags[vals]] for vals in lattice)
             least = [int(hits.min()) for hits in chunks if hits.size]
+            if ambiguous:
+                least += _fixed_primes(f, bound, flags)
             if least:
                 results[c] = LeastPrimeResult(c, min(least), "found", bound)
             elif bound >= cap:

@@ -425,6 +425,18 @@ def test_internal_check_failures_exit_3(capsys, monkeypatch):
         assert err.startswith("error: identity-violation:") and err.count("\n") == 1, err
 
 
+def test_scan_exits_3_when_fixed_line_primes_are_not_ramified(
+    capsys, monkeypatch, swapped_fixed_line_values
+):
+    # with the b = a pair (a, 4c - a) for b = 0, x^2 + 13 y^2 (q = -52)
+    # misses the ramified 13 and tries 51 = 3 * 17
+    assert run_cli(capsys, "scan-bv", "-Q", "60", "-X", "1000")[0] == 0
+    monkeypatch.setattr(stats, "_fixed_line_values", swapped_fixed_line_values)
+    code, _, err = run_cli(capsys, "scan-bv", "-Q", "60", "-X", "1000")
+    assert code == 3
+    assert err.startswith("error: identity-violation: fixed-line primes") and err.count("\n") == 1
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "scan-bv", "-Q", "30", "-X", "-5")
     assert code == 1 and err.startswith("error: usage:")

@@ -612,3 +612,97 @@ def test_represented_mask_memory_is_chunked():
         tracemalloc.stop()
     assert mask.nbytes == limit + 1
     assert peak < mask.nbytes + 4 * 2**20, peak
+
+
+# ---------------------------------------------------------------------------
+# the wedge of an ambiguous form against the whole half lattice
+
+
+def _sigma(f: QuadForm):
+    """The improper automorphism of an ambiguous form, of the first kind it has."""
+    if f.b == 0:
+        return lambda x, y: (-x, y)
+    if f.b == f.a:
+        return lambda x, y: (-x - y, y)
+    assert f.a == f.c
+    return lambda x, y: (y, x)
+
+
+def _fixed_counts_brute(f: QuadForm, limit: int, M: int) -> np.ndarray:
+    """Half-lattice points fixed by sigma or -sigma, per value n <= limit with
+    gcd(n, M) = 1, from the box of _lattice_brute."""
+    r = math.isqrt(4 * f.c * limit // -f.disc) + 1
+    sigma = _sigma(f)
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for x in range(-r, r + 1):
+        for y in range(0, r + 1):
+            if y == 0 and x < 1:
+                continue
+            n = f.value(x, y)
+            sx, sy = sigma(x, y)
+            if n <= limit and math.gcd(n, M) == 1 and (sx, sy) in ((x, y), (-x, -y)):
+                counts[n] += 1
+    return counts
+
+
+def _wedge_counts(f: QuadForm, limit: int, M: int) -> np.ndarray:
+    counts = np.zeros(limit + 1, dtype=np.int64)
+    for vals in forms._half_lattice_values([tuple(f)], limit, M, wedge=True):
+        np.add.at(counts, vals, 1)
+    return counts
+
+
+def _wedge_splits_half_lattice(f: QuadForm, limit: int, M: int) -> bool:
+    """Whether the half lattice's values are, as a multiset, twice the wedge's
+    plus the fixed points', and every fixed value is t^2 times one of
+    _fixed_line_values (so these are the only fixed values that can be prime)."""
+    fixed = _fixed_counts_brute(f, limit, M)
+    lines = forms._fixed_line_values(f.a, f.b, f.c)
+    on_lines = all(
+        any(n % v == 0 and math.isqrt(n // v) ** 2 == n // v for v in lines)
+        for n in np.flatnonzero(fixed).tolist()
+    )
+    return on_lines and np.array_equal(
+        _half_counts_brute(f, limit, M), 2 * _wedge_counts(f, limit, M) + fixed
+    )
+
+
+@st.composite
+def reduced_ambiguous_forms(draw):
+    a = draw(st.integers(min_value=1, max_value=40))
+    kind = draw(st.sampled_from(["b = 0", "b = a", "a = c"]))
+    if kind == "a = c":
+        f = QuadForm(a, draw(st.integers(min_value=0, max_value=a)), a)
+    else:
+        c = draw(st.integers(min_value=a, max_value=3 * a + 20))
+        f = QuadForm(a, 0 if kind == "b = 0" else a, c)
+    assume(f.is_primitive)
+    return f
+
+
+_AMBIGUOUS_EDGE_FORMS = [f for f in _EDGE_FORMS if f.is_ambiguous]
+
+
+@given(
+    f=st.one_of(st.sampled_from(_AMBIGUOUS_EDGE_FORMS), reduced_ambiguous_forms()),
+    limit=st.integers(min_value=1, max_value=5000),
+    M=st.sampled_from([1, 6]),
+)
+def test_wedge_is_half_of_the_half_lattice(f, limit, M):
+    # q = -3 and -4 among the edge forms, each of the three kinds
+    assert f.is_reduced and f.is_ambiguous
+    assert _wedge_splits_half_lattice(f, limit, M), (tuple(f), limit, M)
+
+
+def test_wedge_refuses_a_form_without_the_automorphism():
+    with pytest.raises(ValueError, match="b = 0, b = a or a = c"):
+        next(forms._half_lattice_values([(1, 1, 1), (2, 1, 3)], 100, wedge=True))
+
+
+def test_wedge_fires_on_planted_faults(monkeypatch, wedge_faults):
+    cases = [(f, limit, M) for f in _AMBIGUOUS_EDGE_FORMS for limit in (10, 300) for M in (1, 6)]
+    assert all(_wedge_splits_half_lattice(*case) for case in cases)
+    for fault in wedge_faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_wedge_rows", fault)
+            assert not all(_wedge_splits_half_lattice(*case) for case in cases), fault

@@ -169,6 +169,51 @@ def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch):
         assert not _pi_matches_mask(groups, xs, sieve_1m)
 
 
+def _identity_holds(groups, xs, sieve):
+    """Whether average_identity_gap closes for every group at every X; an
+    ArithmeticError from pi_repr_all's checks is a failure."""
+    try:
+        return all(
+            lhs == rhs
+            for g in groups
+            for lhs, rhs in (stats.average_identity_gap(g, X, sieve) for X in xs)
+        )
+    except ArithmeticError:
+        return False
+
+
+def test_average_identity_over_the_wedge(sieve_1m):
+    # every ambiguous class of |q| <= 3000 is counted on its wedge plus its
+    # fixed-line primes
+    assert _identity_holds(_groups_3000(), (10, 1000, 100_000), sieve_1m)
+
+
+def test_average_identity_fires_on_planted_wedge_faults(sieve_1m, monkeypatch, wedge_faults):
+    groups = [g for g in _groups_3000() if abs(int(g.q)) <= 300]
+    xs = (1000,)
+    assert _identity_holds(groups, xs, sieve_1m)
+    for fault in wedge_faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_wedge_rows", fault)
+            assert not _identity_holds(groups, xs, sieve_1m)
+            assert not _pi_matches_mask(groups, xs, sieve_1m)
+
+
+def test_pi_repr_all_checks_fixed_line_primes_against_ramified(
+    sieve_10k, monkeypatch, swapped_fixed_line_values
+):
+    # x^2 + 6 y^2 (q = -24): the fault counts 23 = 4 * 6 - 1, though no
+    # prime p >= 5 divides 24
+    g24 = class_group(-24)
+    assert stats.pi_repr_all(1000, g24, sieve_10k).tolist() == [
+        int(np.count_nonzero(represented_mask(f, 1000)[sieve_10k.primes[sieve_10k.primes <= 1000]]))
+        for f in g24.classes
+    ]
+    monkeypatch.setattr(stats, "_fixed_line_values", swapped_fixed_line_values)
+    with pytest.raises(ArithmeticError, match="fixed-line primes"):
+        stats.pi_repr_all(1000, g24, sieve_10k)
+
+
 def test_pi_repr_all_refuses_a_fractional_ideal_count(sieve_10k, monkeypatch):
     # a kernel that visits the y = 1 row twice puts 7 = 2^2 + 2 + 1 on 7
     # half-lattice points of x^2 + xy + y^2 instead of 6, which u = 3 does
