@@ -135,16 +135,15 @@ def build_w_table(
     if N < 1:
         raise ValueError("N must be positive")
     if method == "lattice":
-        # (a, b, c) and (a, -b, c) have the same counts (x -> -x), so one
-        # form serves each pair of inverse classes; the values of form k land
-        # in row k of one flat count table through the offset k (N + 1)
-        slots: dict[tuple[int, int, int], int] = {}
-        rows = [slots.setdefault((f.a, abs(f.b), f.c), len(slots)) for f in group.classes]
-        counts = np.zeros(len(slots) * (N + 1), dtype=np.int64)
-        offsets = np.arange(len(slots), dtype=np.int64) * (N + 1)
-        for vals in _half_lattice_values(list(slots), N, offsets=offsets):
+        # one form serves each pair of inverse classes; the values of form k
+        # land in row k of one flat count table through the offset k (N + 1)
+        reps, pair = group.pairs
+        counts = np.zeros(len(reps) * (N + 1), dtype=np.int64)
+        offsets = np.arange(len(reps), dtype=np.int64) * (N + 1)
+        abc = [tuple(group.classes[i]) for i in reps]
+        for vals in _half_lattice_values(abc, N, offsets=offsets):
             np.add.at(counts, vals, 1)
-        counts = counts.reshape(len(slots), N + 1)
+        counts = counts.reshape(len(reps), N + 1)
         # an ideal of norm n puts units/2 points on the half lattice: one
         # for |q| > 4, three for q = -3 and two for q = -4
         per_ideal = w_units(group.q) // 2
@@ -152,7 +151,7 @@ def build_w_table(
             if (counts % per_ideal).any():
                 raise IdentityViolation("representation counts not divisible by unit count")
             counts //= per_ideal
-        return WTable(group.q, N, counts[rows])
+        return WTable(group.q, N, counts[pair])
     if method == "multiplicative":
         return _build_w_multiplicative(group, N)
     raise ValueError(f"unknown method {method!r}")

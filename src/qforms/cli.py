@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error (a value above a cap included), 2 a
-least-prime search that hit its cap unresolved, 3 internal identity
-violation.  Errors print one machine-parseable line
-`error: <category>: <message>` on stderr.
+Exit codes: 0 success, 1 usage error (a value above a cap or a non-finite
+float option included), 2 a least-prime search that hit its cap
+unresolved, 3 internal identity violation.  Errors print one
+machine-parseable line `error: <category>: <message>` on stderr.
 
 Only `tabulate` touches the cache: it writes the weight tables into
 `--cache` (default `QFORMS_CACHE`) and reuses the blobs that already hold
@@ -13,6 +13,7 @@ them.  Every other command builds its class groups from scratch.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -48,6 +49,10 @@ class RunConfig:
 
     def __post_init__(self):
         a = self.args
+        for name in ("Q", "X", "c3", "A", "eps"):
+            value = getattr(a, name, None)
+            if value is not None and not math.isfinite(value):
+                raise UsageError(f"{name}={value} is not finite")
         for name, cap in (("X", MAX_X), ("Q", MAX_Q), ("N", MAX_TABLE_N)):
             value = getattr(a, name, None)
             if value is None:

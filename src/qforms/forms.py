@@ -4,7 +4,9 @@ Reduction with an SL(2,Z) witness, Dirichlet composition via the united-forms
 congruence system, class groups from exhaustive reduced-triple enumeration
 with their structure from one polycyclic presentation and a Smith normal
 form (Cohen, A Course in Computational Algebraic Number Theory, 2.4 and
-5.4), and exact representation counting by lattice enumeration.
+5.4), and exact representation counting by lattice enumeration.  Every
+per-pair loop (w-tables, prime counts, one least-prime search per pair,
+class sums) takes the inverse pairs {C, C^-1} from FormClassGroup.pairs.
 Forms are integral, primitive and positive definite throughout; class groups
 are built for fundamental discriminants only (maximal orders).
 
@@ -252,6 +254,22 @@ class FormClassGroup:
     def inverse(self, i: int) -> int:
         f = self.classes[i]
         return self.class_index(QuadForm(f.a, -f.b, f.c))
+
+    @cached_property
+    def pairs(self) -> tuple[list[int], list[int]]:
+        """(reps, pair): reps[k] is the first class of the k-th pair {C, C^-1},
+        and pair[i] the pair of class i.  The reduced inverse of (a, b, c) is
+        (a, -b, c) (Cox, ch. 1), so in class order the reps are the forms
+        with b >= 0 and each b < 0 form comes right after its (a, -b, c);
+        IdentityViolation if it does not."""
+        reps, pair = [], []
+        for i, f in enumerate(self.classes):
+            if f.b >= 0:
+                reps.append(i)
+            elif i == 0 or self.classes[i - 1] != QuadForm(f.a, -f.b, f.c):
+                raise IdentityViolation(f"class {tuple(f)} does not follow its inverse")
+            pair.append(len(reps) - 1)
+        return reps, pair
 
     def _presentation(self) -> tuple[np.ndarray, list[list[int]]]:
         """Every class's exponents over the adjoined classes x_i, and their relations.

@@ -69,7 +69,7 @@ class SieveExperimentConfig:
             raise ValueError(f"unknown coefficient source {self.coeff_source!r}")
         if not 1 <= self.delta_n <= self.N:
             raise ValueError("delta_n outside 1..N")
-        if self.eps <= 0:
+        if not self.eps > 0:  # NaN too
             raise ValueError("eps must be positive")
 
 
@@ -139,9 +139,8 @@ _TRIAL_BLOCK = 16
 
 def _inverse_pairs(group: FormClassGroup) -> tuple[list[int], np.ndarray]:
     """One class index per pair {C, C^-1} and the size of each pair."""
-    reps = [i for i in range(group.h) if group.inverse(i) >= i]
-    sizes = np.array([2 - group.classes[i].is_ambiguous for i in reps], dtype=np.float64)
-    return reps, sizes
+    reps, pair = group.pairs
+    return reps, np.bincount(pair)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -78,7 +78,7 @@ class StatConfig:
     A: float = 2.0
 
     def __post_init__(self):
-        if self.c3 <= 0 or self.y_grid_count < 1 or self.li_tol <= 0 or self.A <= 0:
+        if not (self.c3 > 0 and self.y_grid_count >= 1 and self.li_tol > 0 and self.A > 0):
             raise ValueError("invalid StatConfig")
 
 
@@ -141,67 +141,50 @@ def _fixed_primes(f: QuadForm, limit: int, flags: np.ndarray) -> list[int]:
 def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
     """pi(X; q, C) for every class C: primes p <= X represented by C.
 
-    Primes p >= 5 are counted by gathering sieve.flags, read-only and
-    shared by every call, at the values of the class's form on the half
-    lattice, stepping only over points with gcd(f(x, y), 6) = 1; as no
-    value is even or a multiple of 3, the flags need no copy with 2 and 3
-    cleared.  A prime p lies on w(q)/2 = u half-lattice points per ideal
-    of norm p in C: one ideal if p ramifies, and for a split p
-    one in a non-ambiguous class (its conjugate lies in C^-1 != C) but two
-    in an ambiguous one.  So pi = hits/u for C != C^-1, and
-    pi = (hits/u + ram_C)/2 for C = C^-1, with ram_C the ramified primes
-    5 <= p <= X that C represents.  A count that u does not divide, or an
-    odd hits/u + ram_C, raises IdentityViolation.  The primes 2 and 3 are
-    checked by representation_count.
-
-    An ambiguous class walks only the wedge of its form, one point of each
-    pair that its improper automorphism swaps (forms._wedge_rows): the half
-    lattice holds hits = 2 hits_wedge + F, with F the primes 5 <= p <= X
-    among the form's two fixed-line values.  For |q| > 4 (u = 1) these are
-    the ramified primes it represents, so F != ram_C raises
-    IdentityViolation, and pi = hits_wedge + F.
+    One class of each pair {C, C^-1} (FormClassGroup.pairs) is counted for
+    both.  Primes p >= 5 are counted by gathering sieve.flags, read-only and
+    shared by every call, at the form's values on the points of its half
+    lattice with gcd(f(x, y), 6) = 1 (no value is even or a multiple of 3).
+    A prime p lies on w(q)/2 = u half-lattice points per ideal of norm p in
+    C: one ideal if p ramifies; for a split p, one in a non-ambiguous class
+    but two in an ambiguous one.  An ambiguous class walks only its wedge
+    (forms._wedge_rows): its half lattice holds 2 hits + F points, F the
+    primes 5 <= p <= X among its two fixed-line values, which must be the
+    ramified primes ram_C it represents (IdentityViolation otherwise).  So
+    2 hits + ram_C = u (2 s + ram_C) for its s split primes, and as u = 1 or
+    ram_C = 0, hits = u s.  One rule thus counts every class:
+    primes, rem = divmod(hits, u), plus ram_C for an ambiguous class, and a
+    remainder raises IdentityViolation.  For q = -3, -4 (u = 3, 2)
+    F = ram_C = 0: the fixed values are (1, 3) and (1, 1), and no ramified
+    prime is >= 5.  The primes 2 and 3 are checked by representation_count.
     """
     if X > sieve.limit:
         raise ValueError("X beyond sieve limit")
     limit = int(X)
-    out = np.zeros(group.h, dtype=np.int64)
     if limit < 2:
-        return out
+        return np.zeros(group.h, dtype=np.int64)
     u = w_units(group.q) // 2
     ramified = [p for p, _ in arith.factorize(group.q.abs_q) if 5 <= p <= limit]
-    # (a, b, c) and (a, -b, c) represent the same integers (x -> -x), so
-    # one count serves each pair of inverse classes
-    counts: dict[tuple[int, int, int], int] = {}
-    for i, f in enumerate(group.classes):
-        key = (f.a, abs(f.b), f.c)
-        if key not in counts:
-            ambiguous = f.is_ambiguous
-            hits = sum(
-                int(np.count_nonzero(sieve.flags[vals]))
-                for vals in _half_lattice_values([tuple(f)], limit, _MODULUS, wedge=ambiguous)
-            )
-            rem = 0
-            if not ambiguous:
-                primes, rem = divmod(hits, u)
-            elif u == 1:
-                ram = sum(1 for p in ramified if representation_count(f, p) > 0)
-                if len(_fixed_primes(f, limit, sieve.flags)) != ram:
-                    raise IdentityViolation(
-                        f"fixed-line primes of {tuple(f)} are not its ramified primes"
-                    )
-                primes = hits + ram
-            else:
-                # q = -3, -4: the full half lattice's count, as above
-                fixed = len(_fixed_primes(f, limit, sieve.flags))
-                ram = sum(1 for p in ramified if representation_count(f, p) > 0)
-                primes, rem = divmod(2 * hits + fixed, u)
-                primes, odd = divmod(primes + ram, 2)
-                rem = rem or odd
-            if rem:
-                raise IdentityViolation(f"prime count of {tuple(f)} is not a whole number of ideals")
-            counts[key] = primes + len(_small_primes_represented(f, limit))
-        out[i] = counts[key]
-    return out
+    reps, pair = group.pairs
+    counts = []
+    for f in (group.classes[i] for i in reps):
+        ambiguous = f.is_ambiguous
+        hits = sum(
+            int(np.count_nonzero(sieve.flags[vals]))
+            for vals in _half_lattice_values([tuple(f)], limit, _MODULUS, wedge=ambiguous)
+        )
+        primes, rem = divmod(hits, u)
+        if rem:
+            raise IdentityViolation(f"prime count of {tuple(f)} is not a whole number of ideals")
+        if ambiguous:
+            ram = sum(1 for p in ramified if representation_count(f, p) > 0)
+            if len(_fixed_primes(f, limit, sieve.flags)) != ram:
+                raise IdentityViolation(
+                    f"fixed-line primes of {tuple(f)} are not its ramified primes"
+                )
+            primes += ram
+        counts.append(primes + len(_small_primes_represented(f, limit)))
+    return np.array(counts, dtype=np.int64)[pair]
 
 
 def pi_repr(X: float, group: FormClassGroup, c: int, sieve: SieveTables) -> int:
@@ -504,19 +487,20 @@ def least_primes(
 ) -> list[LeastPrimeResult]:
     """Smallest prime represented by each class in indices, by ascending scan.
 
-    Every class steps through the same bounds, so one prime flag table per
-    bound serves all the classes still unresolved there.  Within each bound,
-    2 and 3 are checked one by one and the primes p >= 5 gathered at the
-    lattice points coprime to 6, as in pi_repr_all: an ambiguous class (the
-    principal one among them) on its wedge plus its fixed-line primes, which
-    the wedge leaves out.  The scan never extends
-    past cap; an unsuccessful search reports status "unresolved" rather than
-    a wrong answer.
+    One class of each pair {C, C^-1} (FormClassGroup.pairs) is searched, and
+    its answer serves both.  Every search steps through the same bounds, so
+    one prime flag table per bound serves all the classes still unresolved
+    there.  Within a bound, 2 and 3 are checked one by one and the primes
+    p >= 5 gathered as in pi_repr_all: an ambiguous class (the principal one
+    among them) on its wedge plus its fixed-line primes.  The scan never
+    passes cap; an unsuccessful search reports status "unresolved" rather
+    than a wrong answer.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
+    reps, pair = group.pairs
     results: dict[int, LeastPrimeResult] = {}
-    pending = list(indices)
+    pending = list(dict.fromkeys(reps[pair[c]] for c in indices))
     bound = 1 << 10
     while pending:
         bound = min(bound, cap)
@@ -544,7 +528,7 @@ def least_primes(
                 unresolved.append(c)
         pending = unresolved
         bound <<= 3
-    return [results[c] for c in indices]
+    return [replace(results[reps[pair[c]]], class_index=c) for c in indices]
 
 
 def least_prime(
@@ -576,7 +560,7 @@ def least_prime_x2ny2(n: int, cap: int = DEFAULT_SEARCH_CAP) -> X2NY2Result:
     while True:
         bound = min(bound, cap)
         flags = arith.prime_flags(bound)
-        best = None
+        best = x_at = y_min = None
         y = 1
         while n * y * y < bound:
             base = n * y * y
@@ -585,20 +569,13 @@ def least_prime_x2ny2(n: int, cap: int = DEFAULT_SEARCH_CAP) -> X2NY2Result:
                 xs = np.arange(1, xmax + 1, dtype=np.int64)
                 vals = xs * xs + base
                 hits = vals[flags[vals]]
+                # rows ascend in y, so the first row that attains the least
+                # prime holds its representation with the least y
                 if hits.size and (best is None or hits[0] < best):
                     best = int(hits[0])
+                    x_at, y_min = math.isqrt(best - base), y
             y += 1
         if best is not None:
-            y_min = None
-            x_at = None
-            y = 1
-            while n * y * y < best:
-                rem = best - n * y * y
-                r = math.isqrt(rem)
-                if r >= 1 and r * r == rem:
-                    y_min, x_at = y, r
-                    break
-                y += 1
             return X2NY2Result(n, best, x_at, y_min, "found")
         if bound >= cap:
             return X2NY2Result(n, None, None, None, "unresolved")

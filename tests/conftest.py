@@ -52,3 +52,16 @@ def swapped_fixed_line_values():
     reads the b = a pair (a, 4c - a)."""
     real = forms._fixed_line_values
     return lambda a, b, c: (a, 4 * c - a) if b == 0 else real(a, b, c)
+
+
+@pytest.fixture
+def pair_off_by_one():
+    """FormClassGroup.pairs with the last class's pair index one too low, as
+    a property to patch over the class's own."""
+    real = forms.FormClassGroup.pairs.func
+
+    def pairs(group):
+        reps, pair = real(group)
+        return reps, pair[:-1] + [max(pair[-1] - 1, 0)]
+
+    return property(pairs)

@@ -110,12 +110,28 @@ def test_w_prime_power_case_table():
                 e += 1
 
 
-def test_dual_oracle_w_tables():
-    for q in fundamental_discriminants(60):
+def _dual_oracle_mismatches(Q, N):
+    """The q of the family up to Q whose lattice and multiplicative tables differ."""
+    out = []
+    for q in fundamental_discriminants(Q):
         group = class_group(q)
-        lattice = build_w_table(group, 300)
-        mult = build_w_table(group, 300, method="multiplicative")
-        assert np.array_equal(lattice.w, mult.w), q.q
+        lattice = build_w_table(group, N)
+        mult = build_w_table(group, N, method="multiplicative")
+        if not np.array_equal(lattice.w, mult.w):
+            out.append(q.q)
+    return out
+
+
+def test_dual_oracle_w_tables():
+    assert _dual_oracle_mismatches(60, 300) == []
+
+
+def test_dual_oracle_fires_on_an_off_by_one_pair(monkeypatch, pair_off_by_one):
+    monkeypatch.setattr(forms.FormClassGroup, "pairs", pair_off_by_one)
+    # every group with h > 1 sends its last class's row to another pair
+    assert _dual_oracle_mismatches(60, 300) == [
+        q.q for q in fundamental_discriminants(60) if class_group(q).h > 1
+    ]
 
 
 _ALL_FUNDAMENTAL_3000 = [q for q in range(-3, -3001, -1) if arith.is_fundamental_discriminant(q)]

@@ -346,6 +346,20 @@ def test_sieve_ratio_golden_output(source, blas_threads):
     assert hashlib.sha256(proc.stdout).hexdigest() == SIEVE_RATIO_GOLDEN[source]
 
 
+# sha256 of the stdout of `qforms least-prime -q -999995 --format json`
+# (h = 480): the search of one class per inverse pair must answer both
+LEAST_PRIME_GOLDEN = {
+    "-999995": "8f65430dfff66ae1476ea97e8c0e361780ba8287cbbe80ca77a00acbec51ec28",
+}
+
+
+@pytest.mark.parametrize("q", sorted(LEAST_PRIME_GOLDEN))
+def test_least_prime_golden_output(capsys, q):
+    code, out, _ = run_cli(capsys, "least-prime", "-q", q, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LEAST_PRIME_GOLDEN[q]
+
+
 def test_scan_bdh_runs(capsys):
     code, out, _ = run_cli(capsys, "scan-bdh", "-Q", "20", "-X", "2000")
     assert code == 0
@@ -444,6 +458,28 @@ def test_usage_errors(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "sieve-ratio", "-Q", "10", "-N", "100", "--trials", "0")
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("scan-bv", "-Q", "nan", "-X", "1000"),
+        ("scan-bv", "-Q", "30", "-X", "nan"),
+        ("scan-bv", "-Q", "30", "-X", "1000", "--c3", "nan"),
+        ("scan-bv", "-Q", "30", "-X", "1000", "--c3", "inf"),
+        ("scan-bdh", "-Q", "30", "-X", "1000", "-A", "nan"),
+        ("scan-bdh", "-Q", "30", "-X", "1000", "-A", "inf"),
+        ("sieve-ratio", "-Q", "30", "-N", "100", "--eps", "nan"),
+        ("sieve-ratio", "-Q", "30", "-N", "100", "--eps", "inf"),
+        ("check-identities", "-Q", "nan"),
+        ("tabulate", "-Q", "nan", "-N", "10", "--cache", "unused"),
+    ],
+)
+def test_non_finite_float_options_are_refused(capsys, argv):
+    # --c3 nan used to pass every check and flag no row as exceptional
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage:") and "not finite" in err and err.count("\n") == 1
 
 
 def test_tabulate_idempotent_and_transparent(tmp_path, capsys):

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from qforms import arith, forms
-from qforms.arith import fundamental_discriminants, kronecker
+from qforms import arith, cache, forms
+from qforms.arith import IdentityViolation, fundamental_discriminants, kronecker
+from qforms.characters import build_w_table
 from qforms.forms import (
     QuadForm,
     class_group,
@@ -167,6 +168,37 @@ def test_e_from_ambiguous_forms_matches_orders():
         assert g.e == tuple(2 if o <= 2 else 1 for o in g.orders), q
         for i, f in enumerate(g.classes):
             assert f.is_ambiguous == (g.inverse(i) == i), (q, tuple(f))
+
+
+def _pairs_by_inverse(g):
+    """(reps, pair) from inverse(), the reduction of (a, -b, c): the reference."""
+    reps = [i for i in range(g.h) if g.inverse(i) >= i]
+    return reps, [reps.index(min(i, g.inverse(i))) for i in range(g.h)]
+
+
+@pytest.mark.parametrize("source", ["built", "blob"])
+def test_pairs_agree_with_inverse(tmp_path, source):
+    qs = [d for d in range(-3, -3001, -1) if arith.is_fundamental_discriminant(d)]
+    for q in qs:
+        g = class_group(q)
+        if source == "blob":
+            path = cache.cache_path(tmp_path, g.q)
+            cache.save_entry(path, g, build_w_table(g, 1))
+            g, _ = cache.load_entry(path)
+        assert g.pairs == _pairs_by_inverse(g), q
+
+
+@pytest.mark.parametrize("q", [-23, -47, -260])
+def test_pairs_refuse_a_swapped_pair(q):
+    g = class_group(q)
+    i = next(i for i, f in enumerate(g.classes) if f.b < 0)
+    classes = list(g.classes)
+    classes[i - 1], classes[i] = classes[i], classes[i - 1]
+    swapped = forms.FormClassGroup(g.q, tuple(classes))
+    with pytest.raises(IdentityViolation, match="does not follow its inverse"):
+        swapped.pairs
+    with pytest.raises(IdentityViolation):
+        build_w_table(swapped, 10)
 
 
 def test_two_by_two_group():

@@ -135,6 +135,9 @@ def test_config_validation():
         SieveExperimentConfig(Q=10, N=10, coeff_source="bogus")
     with pytest.raises(ValueError):
         SieveExperimentConfig(Q=10, N=10, delta_n=11, coeff_source="delta")
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            SieveExperimentConfig(Q=10, N=10, eps=eps)
 
 
 # ---------------------------------------------------------------------------

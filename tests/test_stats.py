@@ -150,7 +150,7 @@ def test_pi_repr_all_matches_mask_path(sieve_1m):
     assert _pi_matches_mask(groups[:250], (100_000,), sieve_1m)
 
 
-def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch):
+def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch, pair_off_by_one):
     groups = [g for g in _groups_3000() if abs(int(g.q)) <= 300]
     xs = (3, 30, 1000)
     assert _pi_matches_mask(groups, xs, sieve_1m)
@@ -166,6 +166,9 @@ def test_pi_mask_oracle_fires_on_planted_faults(sieve_1m, monkeypatch):
         assert not _pi_matches_mask(groups, xs, sieve_1m)
     with monkeypatch.context() as patch:
         patch.setattr(stats, "_small_primes_represented", lambda f, limit: [])
+        assert not _pi_matches_mask(groups, xs, sieve_1m)
+    with monkeypatch.context() as patch:
+        patch.setattr(forms.FormClassGroup, "pairs", pair_off_by_one)
         assert not _pi_matches_mask(groups, xs, sieve_1m)
 
 
@@ -551,6 +554,13 @@ def test_exceptional_examples():
         assert flags == sorted(flags, reverse=True)
 
 
+@pytest.mark.parametrize("field", ["c3", "li_tol", "A"])
+def test_stat_config_refuses_nan(field):
+    for value in (0.0, float("nan")):
+        with pytest.raises(ValueError):
+            StatConfig(**{field: value})
+
+
 def test_no_exceptional_discriminants_at_default_c3():
     from qforms.forms import class_number
 
@@ -614,7 +624,7 @@ def test_least_prime_attained(sieve_10k, monkeypatch):
         for group in groups:
             for c, f in enumerate(group.classes):
                 res = least_prime(group, c)
-                assert res.status == "found"
+                assert res.class_index == c and res.status == "found"
                 assert representation_count(f, res.prime) > 0
                 below = sieve_10k.primes[sieve_10k.primes < res.prime]
                 assert not represented_mask(f, res.prime)[below].any(), (group.q.q, c, chunk)
