@@ -9,7 +9,7 @@ from .arith import (
 )
 # NB: the characters() enumerator is deliberately not re-exported here so the
 # qforms.characters submodule binding survives; import it from the submodule.
-from .characters import build_w_table, kronecker_factorize, lambda_chi
+from .characters import build_w_table, kronecker_factorize
 from .forms import QuadForm, class_group, reduce_form, representation_count
 
 __version__ = "0.1.0"
@@ -24,7 +24,6 @@ __all__ = [
     "fundamental_discriminants",
     "kronecker",
     "kronecker_factorize",
-    "lambda_chi",
     "reduce_form",
     "representation_count",
 ]

@@ -13,19 +13,16 @@ One blob per discriminant, keyed by |q|, little-endian throughout:
 are wanted: by `tabulate`'s reuse check and by `load_or_build`.  A command
 that needs only a class group builds it, since checking a stored group
 costs as much as building it.  Nothing derived from the forms is stored:
-the composition table, orders, cyclic decomposition and coords of a
-loaded group are computed by `FormClassGroup` when first asked for,
-exactly as for a group built from scratch.  A bad magic, another format
+a loaded group is the one `class_group` builds, its structure computed
+when first asked for.  A bad magic, another format
 version, a checksum failure, N < 1, a length that does not match the
-header, an unknown width code, a form that is not a reduced form of
-discriminant q, or forms that are not all h(q) classes in ascending
-(a, |b|, b < 0) order surfaces as CacheError so callers can rebuild.  A
-version bump invalidates all existing blobs.
+header, an unknown width code, or forms that are not the classes
+`class_group` builds for q, in its order, surfaces as CacheError so
+callers can rebuild.  A version bump invalidates all existing blobs.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 import struct
 import tempfile
@@ -36,7 +33,7 @@ import numpy as np
 
 from .arith import Discriminant, classify_discriminant
 from .characters import WTable, build_w_table
-from .forms import FormClassGroup, QuadForm, class_group, class_number
+from .forms import FormClassGroup, class_group
 
 __all__ = ["CacheError", "cache_path", "save_entry", "load_entry", "load_usable", "load_or_build"]
 
@@ -96,8 +93,9 @@ def save_entry(path: str | Path, group: FormClassGroup, table: WTable) -> None:
 def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable]:
     """Load a blob; raises CacheError on any header, checksum or format problem.
 
-    The group holds only its classes; its derived structure is computed on
-    first use.  w is widened to int64.
+    The stored forms must be the classes of class_group(q), in its order;
+    that group is returned, its derived structure computed on first use.
+    w is widened to int64.
     """
     try:
         blob = Path(path).read_bytes()
@@ -130,17 +128,12 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable]:
     if w_at + h * (n_limit + 1) * code != len(body):
         raise CacheError("cache blob length does not match its header")
     forms = np.frombuffer(body, dtype="<i8", count=3 * h, offset=_HEADER.size)
-    classes = tuple(QuadForm(*row) for row in forms.reshape(h, 3).tolist())
-    if any(f.disc != q_value or not f.is_reduced for f in classes):
-        raise CacheError("cached forms do not match the discriminant")
-    # distinct reduced forms, h(q) of them: every class, once, in the order
-    # class_group sorts them, which puts the principal form first
-    keys = [(f.a, abs(f.b), f.b < 0) for f in classes]
-    if h != class_number(q.abs_q) or any(k0 >= k1 for k0, k1 in itertools.pairwise(keys)):
+    group = class_group(q)
+    if forms.reshape(h, 3).tolist() != [list(f) for f in group.classes]:
         raise CacheError("cached forms are not the classes of the discriminant in order")
     w = np.frombuffer(body, dtype=_WIDTHS[code], count=h * (n_limit + 1), offset=w_at)
     table = WTable(q, n_limit, w.reshape(h, n_limit + 1).astype(np.int64))
-    return FormClassGroup(q, classes), table
+    return group, table
 
 
 def load_usable(

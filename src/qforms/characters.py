@@ -1,8 +1,9 @@
 """Class group characters and representation-weight tables.
 
 Characters of the form class group are stored as exponent vectors against
-the cyclic decomposition and evaluated from exact rational exponents, read
-from one table of the roots of unity of order dividing the group exponent.
+the cyclic decomposition, in lexicographic order.  One integer product of
+the exponent grid with the class coords gives every value as a power of
+one root of unity of order the group exponent, read from one table.
 The weight w(C, n) counts ideals of norm n in the class C, computed either
 by lattice enumeration (one kernel pass over a form of every inverse pair of
 classes, the half-lattice points divided by the points per ideal) or by an
@@ -14,7 +15,6 @@ derived from these tables.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +31,6 @@ __all__ = [
     "characters",
     "WTable",
     "build_w_table",
-    "lambda_chi",
     "lambda_table",
     "lambda_table_int",
     "kronecker_factorize",
@@ -79,35 +78,31 @@ class ClassCharacter:
     is_trivial: bool
     is_real: bool
 
-    def value(self, class_index: int) -> complex:
-        return complex(self.values[class_index])
-
 
 def characters(group: FormClassGroup) -> list[ClassCharacter]:
-    """All h characters of the class group; the trivial character comes first."""
-    dec = group.cyclic_decomposition
-    orders = tuple(d for _, d in dec)
-    coords = group.coords
-    lcm = math.lcm(*orders) if orders else 1
+    """All h characters of the class group; the trivial character comes first.
+
+    Character (e_1, .., e_r) takes the class with coords x to the root of
+    order lcm raised to sum e_i x_i lcm/d_i, for all characters in one product.
+    """
+    orders = tuple(d for _, d in group.cyclic_decomposition)
+    d = np.array(orders, dtype=np.int64)
+    lcm = math.lcm(*orders)
     roots = np.array([_root_of_unity(k, lcm) for k in range(lcm)])
-    out = []
-    for exps in itertools.product(*(range(d) for d in orders)):
-        weights = np.array(
-            [e * (lcm // d) for e, d in zip(exps, orders)], dtype=np.int64
+    exps = np.indices(orders).reshape(d.size, group.h).T
+    nums = exps * (lcm // d) @ group.coords.T % lcm
+    real = (2 * exps % d == 0).all(axis=1)
+    return [
+        ClassCharacter(
+            q=group.q,
+            exponents=tuple(row),
+            orders=orders,
+            values=values,
+            is_trivial=not any(row),
+            is_real=bool(is_real),
         )
-        nums = (coords @ weights) % lcm if orders else np.zeros(group.h, np.int64)
-        values = roots[nums]
-        out.append(
-            ClassCharacter(
-                q=group.q,
-                exponents=exps,
-                orders=orders,
-                values=values,
-                is_trivial=all(e == 0 for e in exps),
-                is_real=all((2 * e) % d == 0 for e, d in zip(exps, orders)),
-            )
-        )
-    return out
+        for row, values, is_real in zip(exps.tolist(), roots[nums], real)
+    ]
 
 
 @dataclass(eq=False)
@@ -204,13 +199,6 @@ def _group_convolve(table: np.ndarray, v1: np.ndarray, v2: np.ndarray) -> np.nda
         for j in np.flatnonzero(v2):
             out[table[i, j]] += v1[i] * v2[j]
     return out
-
-
-def lambda_chi(chi: ClassCharacter, table: WTable, n: int) -> complex:
-    """lambda_chi(n) = sum over classes of chi(C) * w(C, n)."""
-    if not 1 <= n <= table.N:
-        raise ValueError(f"n={n} outside table range 1..{table.N}")
-    return complex(np.dot(chi.values, table.w[:, n]))
 
 
 def lambda_table(chi: ClassCharacter, table: WTable) -> np.ndarray:

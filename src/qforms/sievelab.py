@@ -175,7 +175,7 @@ def _class_sums(Q: float, N: int) -> _ClassSums:
     groups = []
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
-        if all(f.is_ambiguous for f in group.classes):
+        if 1 not in group.e:
             continue  # every class its own inverse: all characters real
         groups.append((group, *_inverse_pairs(group)))
     total = sum(len(reps) for _, reps, _ in groups)

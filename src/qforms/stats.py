@@ -3,9 +3,9 @@
 Implements the per-class prime counts pi(X; q, C), the smoothed Chebyshev
 sums psi_k, the per-discriminant discrepancy E_k, the family-averaged
 max-deviation (scan_bv) and mean-square (scan_bdh) statistics with their
-normalizations, exceptional-discriminant flags, divisor frequency, least
-represented primes, the x^2 + n y^2 least-prime search, and the singular
-series for primes of the shape x^2 + n.
+normalizations, exceptional-discriminant flags, least represented primes,
+the x^2 + n y^2 least-prime search, and the singular series for primes of
+the shape x^2 + n.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .serialize import canonical_json, format_float
 __all__ = [
     "StatConfig",
     "li",
-    "pi_repr",
     "pi_repr_all",
     "psi_k",
     "psi_k_chi",
@@ -43,10 +42,8 @@ __all__ = [
     "bv_statistic",
     "bdh_statistic",
     "is_exceptional",
-    "divisor_frequency",
     "average_identity_gap",
     "LeastPrimeResult",
-    "least_prime",
     "least_primes",
     "X2NY2Result",
     "least_prime_x2ny2",
@@ -185,11 +182,6 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
             primes += ram
         counts.append(primes + len(_small_primes_represented(f, limit)))
     return np.array(counts, dtype=np.int64)[pair]
-
-
-def pi_repr(X: float, group: FormClassGroup, c: int, sieve: SieveTables) -> int:
-    """Number of primes p <= X represented by the forms in class c."""
-    return int(pi_repr_all(X, group, sieve)[c])
 
 
 def psi_k(Y: float, group: FormClassGroup, c: int, k: int, table: WTable) -> float:
@@ -433,27 +425,6 @@ def bdh_statistic(
     return _scan("bdh", Q, X, sieve, cfg, threads)
 
 
-def divisor_frequency(discs: list[Discriminant], Q: float) -> float:
-    """Least nu in [0,1] with #{q in M : q' | q} <= Q^nu for every
-    fundamental discriminant q' with 1 < |q'| <= Q."""
-    if not discs:
-        return 0.0
-    counts: dict[int, int] = {}
-    for d in discs:
-        if d.abs_q > Q:
-            raise ValueError("family member exceeds Q")
-        for a in arith.divisors(d.abs_q):
-            if a == 1:
-                continue
-            for cand in (a, -a):
-                if arith.is_fundamental_discriminant(cand):
-                    counts[cand] = counts.get(cand, 0) + 1
-    mx = max(counts.values(), default=0)
-    if mx <= 1 or Q <= 1:
-        return 0.0
-    return min(1.0, math.log(mx) / math.log(Q))
-
-
 def average_identity_gap(
     group: FormClassGroup, X: float, sieve: SieveTables
 ) -> tuple[int, int]:
@@ -529,13 +500,6 @@ def least_primes(
         pending = unresolved
         bound <<= 3
     return [replace(results[reps[pair[c]]], class_index=c) for c in indices]
-
-
-def least_prime(
-    group: FormClassGroup, c: int, cap: int = DEFAULT_SEARCH_CAP
-) -> LeastPrimeResult:
-    """least_primes for the one class c."""
-    return least_primes(group, [c], cap)[0]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import tracemalloc
 
@@ -13,7 +14,6 @@ from qforms.characters import (
     build_w_table,
     characters,
     kronecker_factorize,
-    lambda_chi,
     lambda_table,
     lambda_table_int,
     w_units,
@@ -155,6 +155,22 @@ def test_characters_from_the_root_table_match_per_entry_values():
             assert np.array_equal(chi.values, _per_entry_values(group, chi)), (q, chi.exponents)
 
 
+def test_characters_run_in_exponent_order_with_per_character_flags():
+    # the Hecke violation reports are ordered by character index, so the
+    # order is part of the output
+    for q in _ALL_FUNDAMENTAL_3000:
+        group = class_group(q)
+        chars = characters(group)
+        orders = tuple(d for _, d in group.cyclic_decomposition)
+        assert [c.exponents for c in chars] == list(itertools.product(*map(range, orders))), q
+        assert chars[0].is_trivial
+        for c in chars:
+            assert c.orders == orders
+            trivial = all(e == 0 for e in c.exponents)
+            real = all(2 * e % d == 0 for e, d in zip(c.exponents, orders))
+            assert c.is_trivial is trivial and c.is_real is real, (q, c.exponents)
+
+
 def test_lattice_w_table_is_one_kernel_call_per_group(monkeypatch):
     calls = []
     real = characters_module._half_lattice_values
@@ -259,13 +275,13 @@ def test_lambda_examples():
     g23 = class_group(-23)
     t23 = build_w_table(g23, 50)
     for c in characters(g23):
-        assert lambda_chi(c, t23, 1) == pytest.approx(1)
+        assert lambda_table(c, t23)[1] == pytest.approx(1)
     cplx = [c for c in characters(g23) if not c.is_real][0]
-    assert lambda_chi(cplx, t23, 2) == pytest.approx(2 * math.cos(2 * math.pi / 3))
+    assert lambda_table(cplx, t23)[2] == pytest.approx(2 * math.cos(2 * math.pi / 3))
     g4 = class_group(-4)
     t4 = build_w_table(g4, 10)
     triv = characters(g4)[0]
-    assert lambda_chi(triv, t4, 5) == pytest.approx(sum(kronecker(-4, d) for d in (1, 5)))
+    assert lambda_table(triv, t4)[5] == pytest.approx(sum(kronecker(-4, d) for d in (1, 5)))
 
 
 def test_lambda_bounds_and_range_check():
@@ -275,8 +291,6 @@ def test_lambda_bounds_and_range_check():
         lam = lambda_table(c, table)
         for n in range(1, 401):
             assert abs(lam[n]) <= len(arith.divisors(n)) + 1e-9
-        with pytest.raises(ValueError):
-            lambda_chi(c, table, 401)
 
 
 def test_lambda_real_when_character_real():
@@ -294,8 +308,9 @@ def test_hecke_relation_spot():
     g = class_group(-23)
     table = build_w_table(g, 10)
     for c in characters(g):
-        lhs = lambda_chi(c, table, 2) ** 2
-        rhs = lambda_chi(c, table, 4) + kronecker(-23, 2) * lambda_chi(c, table, 1)
+        lam = lambda_table(c, table)
+        lhs = lam[2] ** 2
+        rhs = lam[4] + kronecker(-23, 2) * lam[1]
         assert cmath.isclose(lhs, rhs, abs_tol=1e-9)
 
 

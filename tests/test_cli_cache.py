@@ -68,15 +68,22 @@ CORRUPTIONS = {
     "truncated": "length",
     "cut in the forms": "truncated",
     "negative N": "implausible",
-    "form not reduced": "do not match the discriminant",
-    "form of another discriminant": "do not match the discriminant",
+    "form not reduced": "not the classes",
+    "form of another discriminant": "not the classes",
     "subgroup": "not the classes",
     "principal not first": "not the classes",
+    "inverse pair swapped": "not the classes",
+    "class repeated": "not the classes",
 }
 
 # q = -39 has the classes (1, 1, 10), (2, 1, 5), (2, -1, 5), (3, 3, 4);
 # {(1, 1, 10), (3, 3, 4)} is a subgroup, so its blob is self-consistent
-REORDERED = {"subgroup": [0, 3], "principal not first": [1, 0, 2, 3]}
+REORDERED = {
+    "subgroup": [0, 3],
+    "principal not first": [1, 0, 2, 3],
+    "inverse pair swapped": [0, 2, 1, 3],
+    "class repeated": [0, 1, 1, 3],
+}
 
 
 def _save_reordered(path, group, table, order):

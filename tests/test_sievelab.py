@@ -15,7 +15,6 @@ from qforms.characters import (
     build_w_table,
     characters,
     kronecker_factorize,
-    lambda_chi,
     lambda_table,
     lambda_table_int,
 )
@@ -306,8 +305,9 @@ def test_hecke_identity_spot_by_hand():
         if chi.is_real:
             continue
         # lambda(2)^2 = 1 while lambda(4) = 0 and (q/2) lambda(1) = 1
-        assert lambda_chi(chi, table, 2) ** 2 == pytest.approx(1.0, abs=1e-9)
-        assert abs(lambda_chi(chi, table, 4)) < 1e-9
+        lam = lambda_table(chi, table)
+        assert lam[2] ** 2 == pytest.approx(1.0, abs=1e-9)
+        assert abs(lam[4]) < 1e-9
 
 
 def test_hecke_check_clean_small():

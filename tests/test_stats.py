@@ -23,13 +23,11 @@ from qforms.stats import (
     bdh_statistic,
     bv_statistic,
     discrepancy_E_k,
-    divisor_frequency,
     is_exceptional,
-    least_prime,
     least_prime_x2ny2,
     least_primes,
     li,
-    pi_repr,
+    pi_repr_all,
     psi_k,
     psi_k_chi,
     scan_exceptional_x2ny2,
@@ -64,15 +62,15 @@ def test_li_monotone(x):
 
 
 # ---------------------------------------------------------------------------
-# pi_repr and psi
+# pi_repr_all and psi
 
 
 def test_pi_repr_examples(sieve_10k):
     g4 = class_group(-4)
-    assert pi_repr(10, g4, 0, sieve_10k) == 2  # 2 and 5
+    assert pi_repr_all(10, g4, sieve_10k)[0] == 2  # 2 and 5
     g23 = class_group(-23)
-    assert pi_repr(23, g23, g23.principal_index, sieve_10k) == 1
-    assert pi_repr(1, g23, 0, sieve_10k) == 0
+    assert pi_repr_all(23, g23, sieve_10k)[g23.principal_index] == 1
+    assert pi_repr_all(1, g23, sieve_10k)[0] == 0
 
 
 def test_pi_repr_against_per_prime_recount(sieve_10k):
@@ -84,7 +82,7 @@ def test_pi_repr_against_per_prime_recount(sieve_10k):
                 for p in sieve_10k.primes[sieve_10k.primes <= 500].tolist()
                 if representation_count(f, p) > 0
             )
-            assert pi_repr(500, group, c, sieve_10k) == slow
+            assert pi_repr_all(500, group, sieve_10k)[c] == slow
 
 
 def test_pi_repr_all_equal_on_inverse_classes(sieve_1m):
@@ -450,7 +448,7 @@ def test_bv_single_discriminant(sieve_10k):
     assert len(report.rows) == 1
     row = report.rows[0]
     g3 = class_group(-3)
-    expected = abs(pi_repr(10_000, g3, 0, sieve_10k) - li(10_000.0) / 2)
+    expected = abs(pi_repr_all(10_000, g3, sieve_10k)[0] - li(10_000.0) / 2)
     assert row.q == -3 and row.h == 1 and row.e_max == 2
     assert row.value == pytest.approx(expected, rel=1e-15)
 
@@ -459,7 +457,7 @@ def test_bdh_single_discriminant(sieve_10k):
     report = bdh_statistic(3, 10_000, sieve_10k)
     row = report.rows[0]
     g3 = class_group(-3)
-    dev = pi_repr(10_000, g3, 0, sieve_10k) - li(10_000.0) / 2
+    dev = pi_repr_all(10_000, g3, sieve_10k)[0] - li(10_000.0) / 2
     assert row.value == pytest.approx(dev * dev, rel=1e-15)
     assert report.aggregate >= max(r.value for r in report.rows)
 
@@ -570,35 +568,6 @@ def test_no_exceptional_discriminants_at_default_c3():
         assert math.sqrt(q.abs_q) / math.log(q.abs_q) <= c3 * h, q.q
 
 
-def test_divisor_frequency_trivia():
-    assert divisor_frequency([], 100) == 0.0
-    assert divisor_frequency([classify_discriminant(-23)], 100) == 0.0
-    # negative prime discriminants share no nontrivial fundamental divisor
-    primes_family = [
-        d
-        for d in fundamental_discriminants(200)
-        if arith.factorize(d.abs_q) == [(d.abs_q, 1)]
-    ]
-    assert divisor_frequency(primes_family, 200) == 0.0
-
-
-def test_divisor_frequency_full_family_against_brute():
-    q_top = 200
-    family = fundamental_discriminants(q_top)
-    got = divisor_frequency(family, q_top)
-    # independent recount: for every candidate fundamental q', count members
-    # it divides by direct divisibility
-    best = 0
-    for cand in range(-q_top, q_top + 1):
-        if cand in (0, 1, -1) or not arith.is_fundamental_discriminant(cand):
-            continue
-        count = sum(1 for d in family if d.q % cand == 0)
-        best = max(best, count)
-    expected = math.log(best) / math.log(q_top)
-    assert 0.0 < got <= 1.0
-    assert got == pytest.approx(expected, rel=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # least primes
 
@@ -607,10 +576,10 @@ def test_least_prime_examples():
     from qforms.forms import QuadForm
 
     g4 = class_group(-4)
-    assert least_prime(g4, 0).prime == 2
+    assert least_primes(g4, [0])[0].prime == 2
     g23 = class_group(-23)
-    assert least_prime(g23, g23.class_index(QuadForm(2, 1, 3))).prime == 2
-    assert least_prime(g23, 0).prime == 23
+    assert least_primes(g23, [g23.class_index(QuadForm(2, 1, 3))])[0].prime == 2
+    assert least_primes(g23, [0])[0].prime == 23
 
 
 def test_least_prime_attained(sieve_10k, monkeypatch):
@@ -623,7 +592,7 @@ def test_least_prime_attained(sieve_10k, monkeypatch):
         monkeypatch.setattr(forms, "_CHUNK", chunk)
         for group in groups:
             for c, f in enumerate(group.classes):
-                res = least_prime(group, c)
+                res = least_primes(group, [c])[0]
                 assert res.class_index == c and res.status == "found"
                 assert representation_count(f, res.prime) > 0
                 below = sieve_10k.primes[sieve_10k.primes < res.prime]
@@ -678,7 +647,7 @@ def test_least_prime_cli_builds_flags_once_per_bound(capsys, monkeypatch):
 
 def test_least_prime_cap():
     g23 = class_group(-23)
-    res = least_prime(g23, 0, cap=3)
+    res = least_primes(g23, [0], cap=3)[0]
     assert res.status == "unresolved" and res.prime is None
 
 
