@@ -10,19 +10,28 @@ classes, the half-lattice points divided by the points per ideal) or by an
 independent multiplicative construction from the prime-power case table;
 lambda coefficients and the Kronecker factorization of real characters are
 derived from these tables.
+
+The identity checks and the sieve experiment need only the real characters,
+and genus theory (Cox, Primes of the Form x^2 + ny^2, section 3) gives those
+from the forms alone: for each split q = d1 d2 into fundamental
+discriminants, C -> (d1/m_C) with m_C a value of C's form prime to q
+(genus_characters).  The complex character table (characters) is the
+slow path the tests and the benchmark check them against.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import arith
 from .arith import Discriminant, IdentityViolation, kronecker, kronecker_table
-from .forms import FormClassGroup, _half_lattice_values, classes_representing
+from .forms import FormClassGroup, QuadForm, _half_lattice_values, classes_representing
 
 __all__ = [
     "IdentityViolation",
@@ -35,6 +44,7 @@ __all__ = [
     "lambda_table_int",
     "kronecker_factorize",
     "kronecker_convolution",
+    "genus_characters",
 ]
 
 
@@ -250,3 +260,64 @@ def kronecker_factorize(chi: ClassCharacter, table: WTable) -> tuple[int, int]:
 def kronecker_convolution(d1: int, d2: int, L: int) -> np.ndarray:
     """(d1/.) * (d2/.) Dirichlet convolution for n = 0..L, exact integers."""
     return arith.dirichlet_convolve(kronecker_table(d1, L), kronecker_table(d2, L))
+
+
+def _prime_discriminants(q: int) -> list[int]:
+    """The prime discriminants whose product is the fundamental discriminant q:
+    p* = (-1)^((p-1)/2) p for each odd p | q, and -4, 8 or -8 for the 2-part."""
+    odd = [p if p % 4 == 1 else -p for p, _ in arith.factorize(-q) if p > 2]
+    two = q // math.prod(odd)
+    return odd + [two] if two != 1 else odd
+
+
+def _value_prime_to(f: QuadForm, n: int) -> int:
+    """A value m = f(x, y) > 0 with gcd(m, n) = 1: the first in the box
+    |x|, |y| <= r, for r = 1, 2, 4, ...  A primitive form has one, and the
+    box r = 1 nearly always holds it."""
+    r = 1
+    while True:
+        for x, y in itertools.product(range(-r, r + 1), repeat=2):
+            m = f.value(x, y)
+            if m > 0 and math.gcd(m, n) == 1:
+                return m
+        r *= 2
+
+
+def genus_characters(group: FormClassGroup) -> list[tuple[int, int, np.ndarray]]:
+    """Every real character of the class group, from genus theory.
+
+    Returns (d1, d2, values) for each split q = d1 d2 into fundamental
+    discriminants, |d1| < |d2|, ordered by (|d1|, d1), so the trivial
+    character (1, q) comes first; values[C] = (d1/m_C) = +-1 (int64) with
+    m_C a value of C's form prime to q (Cox, section 3).  The splits {d1, d2}
+    and the real characters correspond one to one, and the real character
+    of (d1, d2) has lambda = (d1/.) * (d2/.), a Dirichlet convolution.
+
+    The genera (the classes with equal values on every row) are the cosets
+    of the squares, so with t prime discriminants dividing q the 2^(t-1) rows
+    are distinct, each genus holds h / 2^(t-1) classes and exactly 2^(t-1)
+    classes are ambiguous.  IdentityViolation if any of these fails, as it
+    does when a class is dropped from or doubled in the enumeration, or if
+    a d1 or d2 is not a fundamental discriminant (a wrong sign).
+    """
+    q = group.q.q
+    primes = _prime_discriminants(q)
+    m_c = [_value_prime_to(f, -q) for f in group.classes]
+    splits = []
+    # each split and its swap are one character: keep the last prime
+    # discriminant in d2, then put the smaller of the two first
+    for keep in itertools.product((False, True), repeat=len(primes) - 1):
+        d1 = math.prod(p for p, k in zip(primes, keep) if k)
+        splits.append(min((d1, q // d1), (q // d1, d1), key=lambda s: abs(s[0])))
+    splits.sort(key=lambda s: (abs(s[0]), s[0]))
+    if not all(arith.is_fundamental_discriminant(d) for split in splits for d in split):
+        raise IdentityViolation(f"q={q}: a split {splits} is not into fundamental discriminants")
+    rows = [[kronecker(d1, m) for m in m_c] for d1, _ in splits]
+    genera = Counter(zip(*rows))  # a class's genus: its values on every row
+    g = len(splits)
+    equal = len(genera) == g and all(g * size == group.h for size in genera.values())
+    if len(set(map(tuple, rows))) != g or not equal:
+        raise IdentityViolation(f"q={q}: the classes do not split into {g} equal genera")
+    if group.e.count(2) != g:
+        raise IdentityViolation(f"q={q}: {group.e.count(2)} ambiguous classes, not {g}")
+    return [(d1, d2, np.array(row, dtype=np.int64)) for (d1, d2), row in zip(splits, rows)]

@@ -1,9 +1,20 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error (a value above a cap or a non-finite
-float option included), 2 a least-prime search that hit its cap
-unresolved, 3 internal identity violation.  Errors print one
-machine-parseable line `error: <category>: <message>` on stderr.
+float option included) or an OS error writing `--out` or `--cache`, 2 a
+least-prime search that hit its cap unresolved, 3 internal identity
+violation.  Errors print one machine-parseable line
+`error: <category>: <message>` on stderr; the categories are usage,
+invalid-input, io (exit 1), unresolved (exit 2) and identity-violation
+(exit 3).
+
+`check-identities` prints one count line per check, then up to 50 lines
+per check for its violations, each a class of q where the Hecke relation
+fails at the pair (m, n), or a split q = d1 d2 whose real character's
+lambda(n) differs from the convolution (d1/.) * (d2/.) at n:
+
+    hecke q=<q> class=<index> m=<m> n=<n> lhs=<int> rhs=<int>
+    convolution q=<q> d1=<d1> d2=<d2> n=<n> lambda=<int> conv=<int>
 
 Only `tabulate` touches the cache: it writes the weight tables into
 `--cache` (default `QFORMS_CACHE`) and reuses the blobs that already hold
@@ -13,9 +24,11 @@ them.  Every other command builds its class groups from scratch.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +47,18 @@ MAX_THREADS = 64  # the scan starts up to this many OS threads
 
 class UsageError(Exception):
     pass
+
+
+class WriteError(Exception):
+    """An OS error writing --out or --cache."""
+
+
+@contextlib.contextmanager
+def _writing(option: str, path) -> Iterator[None]:
+    try:
+        yield
+    except OSError as exc:
+        raise WriteError(f"cannot write {option} {path}: {exc.strerror or exc}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,7 +168,8 @@ def _build_parser() -> _Parser:
 def _emit(args, text: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        with _writing("--out", out):
+            Path(out).write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -305,10 +331,12 @@ def _cmd_check_identities(args) -> int:
         f" violations={len(conv)}",
     ]
     for v in hecke[:50]:
-        lines.append(f"  hecke q={v.q} chi={v.character} m={v.m} n={v.n} err={v.error}")
+        lines.append(
+            f"  hecke q={v.q} class={v.class_index} m={v.m} n={v.n} lhs={v.lhs} rhs={v.rhs}"
+        )
     for v in conv[:50]:
         lines.append(
-            f"  convolution q={v.q} chi={v.character} n={v.n} lambda={v.lam} conv={v.conv}"
+            f"  convolution q={v.q} d1={v.d1} d2={v.d2} n={v.n} lambda={v.lam} conv={v.conv}"
         )
     _emit(args, "\n".join(lines) + "\n")
     if hecke or conv:
@@ -321,7 +349,8 @@ def _cmd_tabulate(args) -> int:
     cache_dir = args.cache or os.environ.get("QFORMS_CACHE")
     if not cache_dir:
         raise UsageError("tabulate needs --cache or QFORMS_CACHE")
-    Path(cache_dir).mkdir(parents=True, exist_ok=True)
+    with _writing("--cache", cache_dir):
+        Path(cache_dir).mkdir(parents=True, exist_ok=True)
     written = skipped = 0
     for q in fundamental_discriminants(args.Q):
         path = cache.cache_path(cache_dir, q)
@@ -329,7 +358,8 @@ def _cmd_tabulate(args) -> int:
             skipped += 1
             continue
         group = class_group(q)
-        cache.save_entry(path, group, build_w_table(group, args.N))
+        with _writing("--cache", cache_dir):
+            cache.save_entry(path, group, build_w_table(group, args.N))
         written += 1
     _emit(args, f"tabulated {written} blob(s), reused {skipped}\n")
     return 0
@@ -363,6 +393,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except ValueError as exc:
         print(f"error: invalid-input: {exc}", file=sys.stderr)
+        return 1
+    except WriteError as exc:
+        print(f"error: io: {exc}", file=sys.stderr)
         return 1
     except IdentityViolation as exc:
         print(f"error: identity-violation: {exc}", file=sys.stderr)

@@ -242,11 +242,13 @@ class FormClassGroup:
         return 0
 
     def class_index(self, f: QuadForm) -> int:
-        key = (f.a, f.b, f.c)
-        if key not in self._index:
+        i = self._index.get((f.a, f.b, f.c))
+        if i is None:
             g, _ = reduce_form(f)
-            key = (g.a, g.b, g.c)
-        return self._index[key]
+            i = self._index.get((g.a, g.b, g.c))
+            if i is None:
+                raise IdentityViolation(f"reduced form {tuple(g)} is not a class of q={self.q.q}")
+        return i
 
     def _product(self, i: int, j: int) -> int:
         return self.class_index(compose_forms(self.classes[i], self.classes[j]))

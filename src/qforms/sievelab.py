@@ -6,10 +6,19 @@ reference envelope (N (log N)^3 + sqrt(N) (log N) Q^(5/2+eps)) * sum |a_n|^2
 as a ratio experiment.  The experiment forms no lambda row: it takes the
 class sums S_C = sum_n a_n w(C, n) of a block of trials from one matrix
 product, and character orthogonality turns them into the mean square, an
-exact integer for integer coefficients; sieve_lhs recomputes it from the
-complex lambda rows as an independent check.  The Hecke product relation and
-the real-character convolution identity are verified exactly over every pair
-m n <= L, row by row over m <= isqrt(L) (min(m, n) <= isqrt(L) for each pair).
+exact integer for integer coefficients, less the squares of the real
+(genus) characters; sieve_lhs recomputes it from the complex lambda rows as
+an independent check.
+
+Both identity checks are exact integer checks on the w-table, row by row
+over m <= isqrt(L) (min(m, n) <= isqrt(L) for each pair m n <= L), and
+neither builds the character table.  The Hecke product relation holds for
+every character iff it holds in the class group's algebra (orthogonality),
+so hecke_check compares sum_{C1 C2 = C} w(C1, m) w(C2, n) with
+sum_{d | (m, n)} (q/d) w(C, mn/d^2) for every class C.  The real-character
+convolution identity takes each real character from its split q = d1 d2
+(characters.genus_characters) and compares its lambda with the Dirichlet
+convolution (d1/.) * (d2/.).
 """
 
 from __future__ import annotations
@@ -24,10 +33,9 @@ from .arith import IdentityViolation, kronecker_table
 from .characters import (
     build_w_table,
     characters,
+    genus_characters,
     kronecker_convolution,
-    kronecker_factorize,
     lambda_table,
-    lambda_table_int,
 )
 from .forms import FormClassGroup, class_group
 from .serialize import canonical_json
@@ -151,7 +159,8 @@ class _ClassSums:
     classes have the same weights, hence the same sum) of every group with a
     complex character; weights[r] = h |{C, C^-1}|.  real holds, per group,
     its slice of rows and the matrix |{C, C^-1}| chi(C) over its real
-    characters chi (values +-1), trivial character included.
+    characters chi (the genus characters, values +-1), trivial character
+    included.
     """
 
     rows: np.ndarray
@@ -187,7 +196,7 @@ def _class_sums(Q: float, N: int) -> _ClassSums:
         span = slice(start, start + len(reps))
         rows[span] = build_w_table(group, N).w[reps, 1:]
         weights[span] = group.h * sizes
-        chis = [chi.values.real[reps] for chi in characters(group) if chi.is_real]
+        chis = [row[reps] for _, _, row in genus_characters(group)]
         real.append((span, np.reshape(chis, (-1, len(reps))) * sizes))
         start = span.stop
     return _ClassSums(rows, weights, real)
@@ -258,91 +267,101 @@ def run_sieve_experiment(cfg: SieveExperimentConfig) -> SieveExperiment:
 
 @dataclass(frozen=True)
 class HeckeViolation:
+    """Class class_index of q has lhs = sum_{C1 C2 = C} w(C1, m) w(C2, n)
+    but rhs = sum_{d | (m, n)} (q/d) w(C, mn/d^2)."""
+
     q: int
-    character: tuple[int, ...]
+    class_index: int
     m: int
     n: int
-    error: float
+    lhs: int
+    rhs: int
 
 
 @dataclass(frozen=True)
 class ConvolutionViolation:
+    """The real character of the split q = d1 d2 has lambda(n) = lam but
+    ((d1/.) * (d2/.))(n) = conv."""
+
     q: int
-    character: tuple[int, ...]
+    d1: int
+    d2: int
     n: int
     lam: int
     conv: int
 
 
-def hecke_check(Q: float, mn_limit: int, tol: float = 1e-9) -> list[HeckeViolation]:
-    """Verify lambda(m) lambda(n) = sum_{d | gcd(m,n)} (q/d) lambda(mn/d^2)
+def hecke_check(Q: float, mn_limit: int) -> list[HeckeViolation]:
+    """Verify, exactly, lambda(m) lambda(n) = sum_{d | gcd(m,n)} (q/d) lambda(mn/d^2)
     for every character of every scan q with |q| <= Q and all m n <= mn_limit.
 
-    Every such pair has min(m, n) <= isqrt(mn_limit), so row m checks
-    n = m..mn_limit // m with strided slices of the lambda rows: the term of
-    d is lambda(e (n/d)) with e = m/d at the n divisible by d.  Both sides
-    are symmetric in m and n and computed by the same operations, so (n, m)
-    has the error of (m, n): a violation (m, n) with n > m is also reported
+    By orthogonality that holds for every character iff, for every class C,
+        sum_{C1 C2 = C} w(C1, m) w(C2, n) = sum_{d | (m, n)} (q/d) w(C, mn/d^2),
+    an identity of integers checked on the w-table.  Every pair has
+    min(m, n) <= isqrt(mn_limit), so row m checks n = m..mn_limit // m: the
+    left side adds w(C1, m) w(C C1^-1, n) over the few C1 with w(C1, m) > 0
+    (FormClassGroup.composition), the right side the strided slices
+    w(C, e (n/d)) with e = m/d at the n divisible by d.  Both sides are
+    symmetric in m and n, so a violation (m, n) with n > m is also reported
     as (n, m).
 
-    Returns the violations beyond tol, ordered by q, m, character, n;
-    empty on success.
+    Returns the violations ordered by q, m, class, n; empty on success.
     """
     out = []
     top = math.isqrt(mn_limit)
     divs = [arith.divisors(m)[1:] for m in range(1, top + 1)]  # divs[m - 1]: d > 1
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
-        table = build_w_table(group, mn_limit)
-        chars = characters(group)
-        lam = np.vstack([lambda_table(chi, table) for chi in chars])
+        w = build_w_table(group, mn_limit).w
+        inv = [group.inverse(i) for i in range(group.h)]
+        shift = group.composition[:, inv].T  # shift[C1, C] = C C1^-1
+        cols = w[:, : top + 1].T.tolist()  # cols[m][C1] = w(C1, m)
         chi_q = kronecker_table(q.q, top).tolist()
-        found = []  # (m, n, character, error) arrays of the violations
+        found = []  # (m, n, class, lhs, rhs) arrays of the violations
         for m in range(1, top + 1):
             hi = mn_limit // m
-            rhs = lam[:, m * m : m * hi + 1 : m].copy()
+            rhs = w[:, m * m : m * hi + 1 : m].copy()
             for d in divs[m - 1]:
                 if chi_q[d]:
                     e = m // d
-                    rhs[:, ::d] += chi_q[d] * lam[:, e * e : e * (hi // d) + 1 : e]
-            err = np.abs(lam[:, m, None] * lam[:, m : hi + 1] - rhs)
-            if err.max() <= tol:
+                    rhs[:, ::d] += chi_q[d] * w[:, e * e : e * (hi // d) + 1 : e]
+            # 0 when no ideal has norm m
+            lhs = sum(k * w[shift[c1], m : hi + 1] for c1, k in enumerate(cols[m]) if k)
+            if (lhs == rhs).all():
                 continue
-            ci, idx = np.nonzero(err > tol)
-            n, error = idx + m, err[ci, idx]
+            ci, idx = np.nonzero(lhs != rhs)
+            n, left, right = idx + m, np.broadcast_to(lhs, rhs.shape)[ci, idx], rhs[ci, idx]
             mirror = n > m
-            found.append((np.full_like(n, m), n, ci, error))
-            found.append((n[mirror], np.full_like(n[mirror], m), ci[mirror], error[mirror]))
+            found.append((np.full_like(n, m), n, ci, left, right))
+            found.append(
+                (n[mirror], np.full_like(n[mirror], m), ci[mirror], left[mirror], right[mirror])
+            )
         if not found:
             continue
-        m, n, ci, error = map(np.concatenate, zip(*found))
-        for i in np.lexsort((n, ci, m)):
-            out.append(
-                HeckeViolation(
-                    q.q, chars[ci[i]].exponents, int(m[i]), int(n[i]), float(error[i])
-                )
-            )
+        m, n, ci, lhs, rhs = (np.concatenate(col).tolist() for col in zip(*found))
+        for i in np.lexsort((n, ci, m)).tolist():
+            out.append(HeckeViolation(q.q, ci[i], m[i], n[i], lhs[i], rhs[i]))
     return out
 
 
 def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
     """Verify, exactly, that every real character's lambda equals the
-    Dirichlet convolution of the Kronecker symbols of its factorization,
-    for n <= N and every scan q with |q| <= Q."""
+    Dirichlet convolution (d1/.) * (d2/.) of its split q = d1 d2, for n <= N
+    and every scan q with |q| <= Q.
+
+    The real characters and their splits come from the forms
+    (characters.genus_characters), lambda(n) = sum_C (d1/m_C) w(C, n).
+    Returns the violations ordered by q, split, n; empty on success.
+    """
     out = []
     for q in arith.fundamental_discriminants(Q):
         group = class_group(q)
-        table = build_w_table(group, N)
-        for chi in characters(group):
-            if not chi.is_real:
-                continue
-            d1, d2 = kronecker_factorize(chi, table)
+        w = build_w_table(group, N).w
+        for d1, d2, row in genus_characters(group):
+            lam = row @ w
             conv = kronecker_convolution(d1, d2, N)
-            lam = lambda_table_int(chi, table)
-            for n in np.nonzero(conv[1:] != lam[1:])[0]:
+            for n in np.flatnonzero(conv[1:] != lam[1:]).tolist():
                 out.append(
-                    ConvolutionViolation(
-                        q.q, chi.exponents, int(n) + 1, int(lam[n + 1]), int(conv[n + 1])
-                    )
+                    ConvolutionViolation(q.q, d1, d2, n + 1, int(lam[n + 1]), int(conv[n + 1]))
                 )
     return out

@@ -520,30 +520,51 @@ def least_prime_x2ny2(n: int, cap: int = DEFAULT_SEARCH_CAP) -> X2NY2Result:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    bound = max(64, 4 * n)
-    while True:
+    return _least_primes_x2ny2([n], cap)[0]
+
+
+def _least_primes_x2ny2(ns: list[int], cap: int) -> list[X2NY2Result]:
+    """least_prime_x2ny2 for every n in ns, one prime flag table per bound.
+
+    Every search steps through the same bounds 64, 512, ... (at most cap), as
+    least_primes does, so one table serves all the n still open there; an n
+    >= bound has no value x^2 + n y^2 <= bound and waits for a larger one.
+    The least prime, and the least y of its representations, do not depend
+    on the bound at which they are found.
+    """
+    results: dict[int, X2NY2Result] = {}
+    pending = list(ns)
+    bound = 64
+    while pending:
         bound = min(bound, cap)
-        flags = arith.prime_flags(bound)
-        best = x_at = y_min = None
-        y = 1
-        while n * y * y < bound:
-            base = n * y * y
-            xmax = math.isqrt(bound - base)
-            if xmax >= 1:
-                xs = np.arange(1, xmax + 1, dtype=np.int64)
-                vals = xs * xs + base
-                hits = vals[flags[vals]]
-                # rows ascend in y, so the first row that attains the least
-                # prime holds its representation with the least y
-                if hits.size and (best is None or hits[0] < best):
-                    best = int(hits[0])
-                    x_at, y_min = math.isqrt(best - base), y
-            y += 1
-        if best is not None:
-            return X2NY2Result(n, best, x_at, y_min, "found")
-        if bound >= cap:
-            return X2NY2Result(n, None, None, None, "unresolved")
+        flags = None
+        unresolved = []
+        for n in pending:
+            best = None
+            if n < bound:
+                if flags is None:
+                    flags = arith.prime_flags(bound)
+                y = 1
+                while n * y * y < bound:
+                    base = n * y * y
+                    xs = np.arange(1, math.isqrt(bound - base) + 1, dtype=np.int64)
+                    vals = xs * xs + base
+                    hits = vals[flags[vals]]
+                    # rows ascend in y, so the first row that attains the
+                    # least prime holds its representation with the least y
+                    if hits.size and (best is None or hits[0] < best):
+                        best = int(hits[0])
+                        x_at, y_min = math.isqrt(best - base), y
+                    y += 1
+            if best is not None:
+                results[n] = X2NY2Result(n, best, x_at, y_min, "found")
+            elif bound >= cap:
+                results[n] = X2NY2Result(n, None, None, None, "unresolved")
+            else:
+                unresolved.append(n)
+        pending = unresolved
         bound <<= 3
+    return [results[n] for n in ns]
 
 
 def scan_exceptional_x2ny2(
@@ -557,12 +578,11 @@ def scan_exceptional_x2ny2(
     if max_n < 1:
         raise ValueError("max_n must be positive")
     out = []
-    for n in range(1, max_n + 1):
-        res = least_prime_x2ny2(n, cap)
+    for res in _least_primes_x2ny2(list(range(1, max_n + 1)), cap):
         if res.status != "found":
-            raise UnresolvedSearch(f"least prime search for n={n} hit cap {cap}")
+            raise UnresolvedSearch(f"least prime search for n={res.n} hit cap {cap}")
         if res.y_min >= 2:
-            out.append((n, res.prime, res.y_min))
+            out.append((res.n, res.prime, res.y_min))
     return out
 
 

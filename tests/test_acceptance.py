@@ -83,10 +83,10 @@ def test_criterion_2_average_identity(sieve_10k, capsys):
 
 
 def test_criterion_3_hecke_relation(capsys):
-    violations = sievelab.hecke_check(200, 2500, tol=1e-9)
+    violations = sievelab.hecke_check(200, 2500)
     with capsys.disabled():
         _report(
-            "3 Hecke relation, family to 200, mn<=2500, tol 1e-9",
+            "3 Hecke relation, family to 200, mn<=2500, exact in the class group",
             violations == [],
             f"{len(violations)} violations",
         )

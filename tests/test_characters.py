@@ -13,6 +13,7 @@ from qforms.characters import (
     IdentityViolation,
     build_w_table,
     characters,
+    genus_characters,
     kronecker_factorize,
     lambda_table,
     lambda_table_int,
@@ -352,6 +353,79 @@ def test_kronecker_factorize_verifies_convolution():
                 if n % k == 0
             )
             assert conv == lam[n]
+
+
+# ---------------------------------------------------------------------------
+# genus characters against the character table
+
+
+def _real_rows(group):
+    return {tuple(chi.values.real.astype(int).tolist()) for chi in characters(group) if chi.is_real}
+
+
+def test_genus_characters_are_the_real_characters():
+    # every fundamental |q| <= 3000, those divisible by 8 included
+    for q in range(-3, -3001, -1):
+        if not arith.is_fundamental_discriminant(q):
+            continue
+        group = class_group(q)
+        genus = genus_characters(group)
+        assert {tuple(row.tolist()) for *_, row in genus} == _real_rows(group), q
+        splits = [(d1, d2) for d1, d2, _ in genus]
+        assert splits[0] == (1, q)
+        assert splits == sorted(splits, key=lambda s: (abs(s[0]), s[0]))
+        assert all(d1 * d2 == q and abs(d1) < abs(d2) for d1, d2 in splits), q
+
+
+def test_genus_splits_are_the_kronecker_factorizations():
+    for q in fundamental_discriminants(300):
+        group = class_group(q)
+        table = build_w_table(group, 1000)
+        rows = {(d1, d2): tuple(row.tolist()) for d1, d2, row in genus_characters(group)}
+        for chi in characters(group):
+            if chi.is_real:
+                split = kronecker_factorize(chi, table)
+                assert rows[split] == tuple(chi.values.real.astype(int).tolist()), (q.q, split)
+
+
+def test_genus_check_catches_planted_faults(monkeypatch):
+    # q = -84: four ambiguous classes, (Z/2)^2; dropping (5, 4, 5) leaves
+    # three classes for four genera
+    triples = forms._reduced_triples
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            forms, "_reduced_triples", lambda d: (t for t in triples(d) if t != (5, 4, 5))
+        )
+        with pytest.raises(IdentityViolation, match="equal genera"):
+            genus_characters(class_group(-84))
+    # q = -39: (2, 1, 5) twice makes genera of 3 and 2 classes, though the
+    # two genus rows stay distinct and two classes stay ambiguous
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            forms,
+            "_reduced_triples",
+            lambda d: itertools.chain(triples(d), [(2, 1, 5)] if d == 39 else []),
+        )
+        assert class_group(-39).h == 5
+        with pytest.raises(IdentityViolation, match="equal genera"):
+            genus_characters(class_group(-39))
+    # a wrong sign of d1: p instead of p* = -p for p = 3 of q = -15
+    primes = characters_module._prime_discriminants
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            characters_module, "_prime_discriminants", lambda q: [-primes(q)[0], *primes(q)[1:]]
+        )
+        with pytest.raises(IdentityViolation, match="fundamental"):
+            genus_characters(class_group(-15))
+
+
+def test_genus_values_are_prime_to_q():
+    for q in fundamental_discriminants(2000):
+        group = class_group(q)
+        for f in group.classes:
+            m = characters_module._value_prime_to(f, q.abs_q)
+            assert m > 0 and math.gcd(m, q.abs_q) == 1
+            assert forms.representation_count(f, m) > 0
 
 
 def test_build_w_table_bad_input():

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforms import cache, forms, sievelab, stats
+from qforms import cache, characters, forms, sievelab, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import WTable, build_w_table
 from qforms.cli import MAX_Q, MAX_TABLE_N, MAX_THREADS, RunConfig, UsageError, main
@@ -418,6 +418,26 @@ def test_sieve_ratio_byte_identical(capsys):
     assert payload["meta"]["seed"] == 5 and len(payload["ratios"]) == 4
 
 
+# sha256 of the stdout of `qforms check-identities <args>`: the exact checks
+# in the class group and from the genus characters print the same report as
+# the character-table checks they replaced
+CHECK_IDENTITIES_GOLDEN = {
+    "-Q 100 --mn-limit 2000 -N 8000": (
+        "79d458ad0271341e12f01d48de9a63eff4fb3f74f7d328e2e9780f001378b1e0"
+    ),
+    "-Q 200 --mn-limit 2500 -N 1000": (
+        "7159755ea11effbc5dcaa75b0f2a2dade15bc2283b7c489daf05568b462fc044"
+    ),
+}
+
+
+@pytest.mark.parametrize("args", sorted(CHECK_IDENTITIES_GOLDEN))
+def test_check_identities_golden_output(capsys, args):
+    code, out, _ = run_cli(capsys, "check-identities", *args.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_IDENTITIES_GOLDEN[args]
+
+
 def test_check_identities_clean(capsys):
     code, out, _ = run_cli(
         capsys, "check-identities", "-Q", "40", "--mn-limit", "100", "-N", "200"
@@ -444,6 +464,40 @@ def test_internal_check_failures_exit_3(capsys, monkeypatch):
             code, _, err = run_cli(capsys, *argv)
         assert code == 3, name
         assert err.startswith("error: identity-violation:") and err.count("\n") == 1, err
+
+
+def test_genus_faults_exit_3(capsys, monkeypatch):
+    # a class dropped from the enumeration, and a wrong sign of d1 (p instead
+    # of p* for the first odd prime): each is an identity violation, exit 3
+    assert run_cli(capsys, "check-identities", "-Q", "60")[0] == 0
+    triples = forms._reduced_triples
+    primes = characters._prime_discriminants
+    for name, module, fault in (
+        ("_reduced_triples", forms, lambda d: (t for t in triples(d) if (d, t) != (52, (2, 2, 7)))),
+        ("_prime_discriminants", characters, lambda q: [-primes(q)[0], *primes(q)[1:]]),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, fault)
+            code, _, err = run_cli(capsys, "check-identities", "-Q", "60")
+        assert code == 3, name
+        assert err.startswith("error: identity-violation:") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classgroup", "-q", "-23", "--out", "{file}/x"),
+        ("tabulate", "-Q", "10", "-N", "10", "--cache", "{file}/sub"),
+    ],
+)
+def test_os_errors_at_the_writes_exit_1(capsys, tmp_path, argv):
+    # a path under a regular file cannot be written or created
+    file = tmp_path / "file"
+    file.write_text("")
+    code, out, err = run_cli(capsys, *(a.format(file=file) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: io: cannot write --") and err.count("\n") == 1, err
+    assert file.read_text() == ""
 
 
 def test_scan_exits_3_when_fixed_line_primes_are_not_ramified(

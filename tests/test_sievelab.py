@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforms import sievelab
+from qforms import cli, sievelab
 from qforms.arith import divisors, fundamental_discriminants, kronecker
 from qforms.characters import (
     build_w_table,
@@ -18,7 +18,7 @@ from qforms.characters import (
     lambda_table,
     lambda_table_int,
 )
-from qforms.forms import class_group
+from qforms.forms import class_group, compose_forms
 from qforms.sievelab import (
     PRESETS,
     SieveExperimentConfig,
@@ -251,8 +251,8 @@ def test_reference_catches_dropped_inverse_copy(monkeypatch):
 
 def test_reference_catches_unsubtracted_trivial_character(monkeypatch):
     assert _matches_reference(FAULT_CFG)
-    real = sievelab.characters
-    monkeypatch.setattr(sievelab, "characters", lambda g: [c for c in real(g) if not c.is_trivial])
+    real = sievelab.genus_characters
+    monkeypatch.setattr(sievelab, "genus_characters", lambda g: [c for c in real(g) if c[0] != 1])
     assert not _matches_reference(FAULT_CFG)
 
 
@@ -342,11 +342,45 @@ def _hecke_reference(Q, mn_limit, tol):
     return out
 
 
+def _hecke_class_reference(Q, mn_limit):
+    """The Hecke relation in the class group, pair by pair: every (m, n) with
+    m n <= mn_limit and every class C, the lhs sum_{C1 C2 = C} w(C1, m) w(C2, n)
+    with each product C1 C2 from compose_forms, against the rhs
+    sum_{d | (m, n)} (q/d) w(C, mn/d^2).  Returns (q, C, m, n, lhs, rhs) of
+    every class where they differ, ordered by q, m, C, n."""
+    out = []
+    for q in fundamental_discriminants(Q):
+        group = class_group(q)
+        w = sievelab.build_w_table(group, mn_limit).w.tolist()
+        product = functools.cache(
+            lambda i, j: group.class_index(compose_forms(group.classes[i], group.classes[j]))
+        )
+        found = []
+        for m in range(1, mn_limit + 1):
+            for n in range(1, mn_limit // m + 1):
+                lhs = [0] * group.h
+                for c1, row1 in enumerate(w):
+                    for c2, row2 in enumerate(w):
+                        if row1[m] and row2[n]:
+                            lhs[product(c1, c2)] += row1[m] * row2[n]
+                terms = [(kronecker(q.q, d), m * n // (d * d)) for d in divisors(math.gcd(m, n))]
+                for c, row in enumerate(w):
+                    rhs = sum(chi * row[k] for chi, k in terms)
+                    if lhs[c] != rhs:
+                        found.append((m, c, n, lhs[c], rhs))
+        out += [(q.q, c, m, n, lhs, rhs) for m, c, n, lhs, rhs in sorted(found)]
+    return out
+
+
 def _convolution_reference(Q, N):
+    """Every real character of the character table, factored by
+    kronecker_factorize, against a scalar convolution; (q, d1, d2, n, lambda,
+    conv) of the mismatches, ordered by q, (|d1|, d1), n."""
     out = []
     for q in fundamental_discriminants(Q):
         group = class_group(q)
         table = sievelab.build_w_table(group, N)
+        found = []
         for chi in characters(group):
             if not chi.is_real:
                 continue
@@ -359,19 +393,18 @@ def _convolution_reference(Q, N):
                     conv[k::k] += t1[k] * t2[1 : N // k + 1]
             lam = lambda_table_int(chi, table)
             for n in np.nonzero(conv[1:] != lam[1:])[0]:
-                out.append((q.q, chi.exponents, int(n) + 1, int(lam[n + 1]), int(conv[n + 1])))
+                found.append((abs(d1), d1, d2, int(n) + 1, int(lam[n + 1]), int(conv[n + 1])))
+        out += [(q.q, *v[1:]) for v in sorted(found)]
     return out
 
 
 def _hecke_tuples(violations):
-    return [(v.q, v.character, v.m, v.n, v.error) for v in violations]
+    return [(v.q, v.class_index, v.m, v.n, v.lhs, v.rhs) for v in violations]
 
 
-def _assert_same_hecke(fast, reference):
-    assert [v[:4] for v in fast] == [v[:4] for v in reference]
-    # the right-hand side is summed in another association, so the error
-    # may differ in the last bits of a double
-    assert np.allclose([v[4] for v in fast], [v[4] for v in reference], rtol=0, atol=1e-12)
+def _pairs(violations):
+    """The (q, m, n) at which a class-space or character-space check fires."""
+    return sorted({(v[0], v[2], v[3]) for v in violations})
 
 
 FAULT_Q, FAULT_N0 = -39, 1008  # h = 4 (cyclic): two real and two complex characters
@@ -392,23 +425,45 @@ def planted_fault(monkeypatch):
     monkeypatch.setattr(sievelab, "build_w_table", faulty)
 
 
-def test_hecke_check_flags_everything_at_negative_tolerance():
-    fast = _hecke_tuples(hecke_check(60, 200, tol=-1.0))
-    reference = _hecke_reference(60, 200, tol=-1.0)
-    # every (q, character, m, n) with m n <= 200, in order q, m, character, n
-    assert len(fast) == sum(
-        class_group(q).h * sum(200 // m for m in range(1, 201))
-        for q in fundamental_discriminants(60)
-    )
-    _assert_same_hecke(fast, reference)
+def _shift_weights(monkeypatch, rows=slice(None)):
+    """Add 1 to every weight w(C, n), n >= 1, of the given classes of every
+    group.  For all classes the relation then fails at nearly every
+    (C, m, n), every class of m = n = 1 included; for class 1 alone the
+    weights of C and C^-1 differ when class 1 is not ambiguous, so the left
+    side must take the class C1^-1, not C1, that pairs with C1 to give C."""
+    real = sievelab.build_w_table
+
+    def shifted(group, N, *args, **kwargs):
+        table = real(group, N, *args, **kwargs)
+        table.w[rows, 1:] += 1
+        return table
+
+    monkeypatch.setattr(sievelab, "build_w_table", shifted)
 
 
-def test_hecke_check_matches_reference_at_every_small_limit():
+def test_hecke_check_matches_class_group_reference_on_shifted_weights(monkeypatch):
+    assert hecke_check(60, 200) == [] == _hecke_class_reference(60, 200)
+    _shift_weights(monkeypatch)
+    fast = _hecke_tuples(hecke_check(60, 200))
+    assert fast == _hecke_class_reference(60, 200)
+    assert {v[:4] for v in fast if v[2] == v[3] == 1} == {
+        (q.q, c, 1, 1) for q in fundamental_discriminants(60) for c in range(class_group(q).h)
+    }
+    # the character-space oracle fires at the same pairs (Fourier inversion)
+    assert _pairs(fast) == _pairs(_hecke_reference(60, 200, tol=1e-9))
+
+
+def test_hecke_check_matches_reference_at_every_small_limit(monkeypatch):
     # small limits cover the isqrt(mn_limit) row boundary and the mirrored
     # pairs (n, m) with n > m
     for L in range(1, 27):
-        fast = _hecke_tuples(hecke_check(40, L, tol=-1.0))
-        _assert_same_hecke(fast, _hecke_reference(40, L, tol=-1.0))
+        assert hecke_check(40, L) == [] == _hecke_class_reference(40, L)
+    for rows in (slice(None), slice(1, 2)):
+        with monkeypatch.context() as patch:
+            _shift_weights(patch, rows)
+            for L in range(1, 27):
+                fast = _hecke_tuples(hecke_check(40, L))
+                assert fast and fast == _hecke_class_reference(40, L), (rows, L)
 
 
 def test_hecke_check_catches_planted_fault(planted_fault):
@@ -419,18 +474,39 @@ def test_hecke_check_catches_planted_fault(planted_fault):
         gcd = math.gcd(v.m, v.n)
         involved = {v.m, v.n} | {v.m * v.n // (d * d) for d in range(1, gcd + 1) if gcd % d == 0}
         assert FAULT_N0 in involved, v
-    _assert_same_hecke(_hecke_tuples(violations), _hecke_reference(60, 1200, tol=1e-9))
+    fast = _hecke_tuples(violations)
+    assert fast == _hecke_class_reference(60, 1200)
+    assert _pairs(fast) == _pairs(_hecke_reference(60, 1200, tol=1e-9))
 
 
 def test_convolution_check_catches_planted_fault(planted_fault):
     violations = convolution_check(60, 1200)
-    real_chars = [c for c in characters(class_group(FAULT_Q)) if c.is_real]
-    assert [(v.q, v.character, v.n) for v in violations] == [
-        (FAULT_Q, c.exponents, FAULT_N0) for c in real_chars
-    ]
-    assert [(v.q, v.character, v.n, v.lam, v.conv) for v in violations] == (
+    splits = [kronecker_factorize(c, build_w_table(class_group(FAULT_Q), 1000))
+              for c in characters(class_group(FAULT_Q)) if c.is_real]
+    assert sorted((v.q, v.d1, v.d2, v.n) for v in violations) == sorted(
+        (FAULT_Q, d1, d2, FAULT_N0) for d1, d2 in splits
+    )
+    assert [(v.q, v.d1, v.d2, v.n, v.lam, v.conv) for v in violations] == (
         _convolution_reference(60, 1200)
     )
+
+
+def test_check_identities_reports_violation_lines(planted_fault, capsys):
+    assert cli.main(["check-identities", "-Q", "40", "--mn-limit", "1010", "-N", "1010"]) == 3
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[0].startswith("hecke relation: Q=40 mn_limit=1010 violations=")
+    hecke = hecke_check(40, 1010)[0]
+    assert lines[2] == (
+        f"  hecke q={FAULT_Q} class={hecke.class_index} m={hecke.m} n={hecke.n}"
+        f" lhs={hecke.lhs} rhs={hecke.rhs}"
+    )
+    conv = [line for line in lines if line.startswith("  convolution")]
+    assert conv == [
+        f"  convolution q={v.q} d1={v.d1} d2={v.d2} n={FAULT_N0} lambda={v.lam} conv={v.conv}"
+        for v in convolution_check(40, 1010)
+    ] and len(conv) == 2
+    assert err == "error: identity-violation: see report\n"
 
 
 def test_identity_checks_bounded_memory():

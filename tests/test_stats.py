@@ -667,6 +667,33 @@ def test_x2ny2_scan_small():
     assert [n for n, _, _ in scan_exceptional_x2ny2(100)] == [5, 41, 59]
 
 
+def test_x2ny2_scan_builds_flags_once_per_bound(monkeypatch):
+    calls = []
+    real = arith.prime_flags
+
+    def counted(limit):
+        calls.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(arith, "prime_flags", counted)
+    rows = scan_exceptional_x2ny2(3000)
+    # every n is searched at the shared bounds 64, 512, ...; each n's search
+    # on its own gives the same answer
+    assert calls == [64, 512, 4096, 32768]
+    calls.clear()
+    singles = [least_prime_x2ny2(n) for n in range(1, 3001)]
+    assert rows == [(r.n, r.prime, r.y_min) for r in singles if r.y_min >= 2]
+    assert len(calls) >= 3000
+
+
+def test_x2ny2_scan_reports_the_least_n_at_its_cap():
+    # 24 + x^2 <= 60 takes 25, 28, 33, 40, 49 and 60: no prime
+    with pytest.raises(stats.UnresolvedSearch, match="n=24 hit cap 60"):
+        scan_exceptional_x2ny2(100, cap=60)
+    assert least_prime_x2ny2(24, cap=60).status == "unresolved"
+    assert least_prime_x2ny2(58, cap=60) == stats.X2NY2Result(58, 59, 1, 1, "found")
+
+
 def test_singular_series():
     assert singular_series(7, 2) == 1.0
     assert singular_series(1, 3) == pytest.approx(1.5, abs=0)
