@@ -1,9 +1,20 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error (a value above a cap or a non-finite
-float option included) or an OS error writing `--out` or `--cache`, 2 a
-least-prime search that hit its cap unresolved, 3 internal identity
-violation.  Errors print one machine-parseable line
+Each numeric option is checked as it is parsed, before any work starts.
+NaN, infinity, a value not above 0 (below 2 for X; -A and --eps take any
+finite value) and a value above its cap are usage errors.  The caps:
+
+    -Q, |q|           1e6  MAX_Q (-q must also be a negative fundamental
+                           discriminant)
+    -X, --cap         1e8  MAX_X
+    -N, --mn-limit    1e7  MAX_TABLE_N
+    --threads         64   MAX_THREADS
+    --max-n           1e6  MAX_X2NY2_N
+    --trials          1e6  MAX_TRIALS
+
+Exit codes: 0 success, 1 usage error or an OS error writing `--out` or
+`--cache`, 2 a least-prime search that hit its cap unresolved, 3 internal
+identity violation.  Errors print one machine-parseable line
 `error: <category>: <message>` on stderr; the categories are usage,
 invalid-input, io (exit 1), unresolved (exit 2) and identity-violation
 (exit 3).
@@ -29,11 +40,10 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import arith, cache, sievelab, stats
-from .arith import classify_discriminant, fundamental_discriminants
+from .arith import Discriminant, classify_discriminant, fundamental_discriminants
 from .characters import IdentityViolation, build_w_table
 from .forms import class_group
 from .serialize import canonical_json, format_float
@@ -43,6 +53,8 @@ MAX_X = 100_000_000
 MAX_Q = 1_000_000
 MAX_TABLE_N = 10_000_000
 MAX_THREADS = 64  # the scan starts up to this many OS threads
+MAX_X2NY2_N = 1_000_000
+MAX_TRIALS = 1_000_000
 
 
 class UsageError(Exception):
@@ -66,42 +78,44 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-@dataclass
-class RunConfig:
-    """Validated per-invocation parameters; all bounds checked up front."""
+def _number(kind, name: str, low: float | None = 0, cap: float | None = None):
+    """An argparse type for a finite `kind` value that is above 0 and at
+    least `low` (no floor if low is None) and at most `cap`."""
 
-    args: argparse.Namespace
+    def parse(text: str):
+        value = kind(text)
+        if kind is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{name}={value} is not finite")
+        if low is not None and not (value > 0 and value >= low):
+            floor = "positive" if low <= 1 else f"at least {low}"
+            raise argparse.ArgumentTypeError(f"{name} must be {floor}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"{name}={value} exceeds cap {cap}")
+        return value
 
-    def __post_init__(self):
-        a = self.args
-        for name in ("Q", "X", "c3", "A", "eps"):
-            value = getattr(a, name, None)
-            if value is not None and not math.isfinite(value):
-                raise UsageError(f"{name}={value} is not finite")
-        for name, cap in (("X", MAX_X), ("Q", MAX_Q), ("N", MAX_TABLE_N)):
-            value = getattr(a, name, None)
-            if value is None:
-                continue
-            if value <= 0:
-                raise UsageError(f"{name} must be positive")
-            if value > cap:
-                raise UsageError(f"{name}={value} exceeds cap {cap}")
-        if getattr(a, "q", None) is not None and abs(a.q) > MAX_Q:
-            raise UsageError(f"|q|={abs(a.q)} exceeds cap {MAX_Q}")
-        if getattr(a, "X", None) is not None and a.X < 2:
-            raise UsageError("X must be at least 2")
-        for name in ("trials", "max_n", "n", "cap", "threads", "mn_limit"):
-            value = getattr(a, name, None)
-            if value is not None and value <= 0:
-                raise UsageError(f"{name.replace('_', '-')} must be positive")
-        if getattr(a, "mn_limit", None) is not None and a.mn_limit > MAX_TABLE_N:
-            raise UsageError(f"mn-limit={a.mn_limit} exceeds cap {MAX_TABLE_N}")
-        if getattr(a, "cap", None) is not None and a.cap > MAX_X:
-            raise UsageError(f"cap exceeds {MAX_X}")
-        if getattr(a, "threads", None) is not None and a.threads > MAX_THREADS:
-            raise UsageError(f"threads={a.threads} exceeds cap {MAX_THREADS}")
-        if getattr(a, "c3", None) is not None and a.c3 <= 0:
-            raise UsageError("c3 must be positive")
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _discriminant(text: str) -> Discriminant:
+    """An argparse type for -q: a negative fundamental discriminant, |q| <= MAX_Q."""
+    q = int(text)
+    if abs(q) > MAX_Q:
+        raise argparse.ArgumentTypeError(f"|q|={abs(q)} exceeds cap {MAX_Q}")
+    if q >= 0:
+        raise argparse.ArgumentTypeError(f"q={q} must be negative")
+    d = classify_discriminant(q)
+    if not d.is_fundamental:
+        raise argparse.ArgumentTypeError(f"{q} is not a fundamental discriminant")
+    return d
+
+
+_discriminant.__name__ = "int"  # as in _number
+
+# the types of options that several subcommands share
+_Q = _number(float, "Q", cap=MAX_Q)
+_N = _number(int, "N", cap=MAX_TABLE_N)
+_CAP = _number(int, "cap", cap=MAX_X)
 
 
 def _build_parser() -> _Parser:
@@ -109,7 +123,10 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classgroup", help="class group of one discriminant")
-    p.add_argument("-q", type=int, required=True, help="negative fundamental discriminant")
+    p.set_defaults(run=_cmd_classgroup)
+    p.add_argument(
+        "-q", type=_discriminant, required=True, help="negative fundamental discriminant"
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
@@ -118,49 +135,56 @@ def _build_parser() -> _Parser:
         ("scan-bdh", "mean-square deviation scan over the family"),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("-Q", type=float, required=True)
-        p.add_argument("-X", type=float, required=True)
-        p.add_argument("--c3", type=float, default=20.0)
-        p.add_argument("-A", type=float, default=2.0)
-        p.add_argument("--threads", type=int, default=1)
+        p.set_defaults(run=_cmd_scan)
+        p.add_argument("-Q", type=_Q, required=True)
+        p.add_argument("-X", type=_number(float, "X", low=2, cap=MAX_X), required=True)
+        p.add_argument("--c3", type=_number(float, "c3"), default=20.0)
+        p.add_argument("-A", type=_number(float, "A", low=None), default=2.0)
+        p.add_argument("--threads", type=_number(int, "threads", cap=MAX_THREADS), default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("least-prime", help="least represented prime per class")
-    p.add_argument("-q", type=int, required=True)
+    p.set_defaults(run=_cmd_least_prime)
+    p.add_argument("-q", type=_discriminant, required=True)
     p.add_argument("--class-index", type=int, default=None)
-    p.add_argument("--cap", type=int, default=stats.DEFAULT_SEARCH_CAP)
+    p.add_argument("--cap", type=_CAP, default=stats.DEFAULT_SEARCH_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("x2ny2", help="least primes of the shape x^2 + n y^2")
-    p.add_argument("--max-n", dest="max_n", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--cap", type=int, default=stats.DEFAULT_SEARCH_CAP)
+    p.set_defaults(run=_cmd_x2ny2)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--max-n", type=_number(int, "max-n", cap=MAX_X2NY2_N))
+    mode.add_argument("--n", type=_number(int, "n"))
+    p.add_argument("--cap", type=_CAP, default=stats.DEFAULT_SEARCH_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sieve-ratio", help="mean-square character sum ratio experiment")
-    p.add_argument("-Q", type=float, required=True)
-    p.add_argument("-N", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1)
+    p.set_defaults(run=_cmd_sieve_ratio)
+    p.add_argument("-Q", type=_Q, required=True)
+    p.add_argument("-N", type=_N, required=True)
+    p.add_argument("--trials", type=_number(int, "trials", cap=MAX_TRIALS), default=1)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument(
         "--coeffs", choices=("rademacher", "ones", "zeros", "delta"), default="rademacher"
     )
     p.add_argument("--delta-n", dest="delta_n", type=int, default=1)
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_number(float, "eps", low=None), default=0.1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check-identities", help="Hecke and convolution identity scans")
-    p.add_argument("-Q", type=float, required=True)
-    p.add_argument("--mn-limit", dest="mn_limit", type=int, default=2500)
-    p.add_argument("-N", type=int, default=1000)
+    p.set_defaults(run=_cmd_check_identities)
+    p.add_argument("-Q", type=_Q, required=True)
+    p.add_argument("--mn-limit", type=_number(int, "mn-limit", cap=MAX_TABLE_N), default=2500)
+    p.add_argument("-N", type=_N, default=1000)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("tabulate", help="persist weight tables up to N")
-    p.add_argument("-Q", type=float, required=True)
-    p.add_argument("-N", type=int, required=True)
+    p.set_defaults(run=_cmd_tabulate)
+    p.add_argument("-Q", type=_Q, required=True)
+    p.add_argument("-N", type=_N, required=True)
     p.add_argument("--cache", default=None)
     return parser
 
@@ -178,15 +202,8 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _group(q_value: int):
-    q = classify_discriminant(q_value)
-    if not q.is_fundamental:
-        raise UsageError(f"{q_value} is not a fundamental discriminant")
-    return class_group(q)
-
-
 def _cmd_classgroup(args) -> int:
-    group = _group(args.q)
+    group = class_group(args.q)
     dec = group.cyclic_decomposition
     if args.format == "json":
         payload = {
@@ -222,10 +239,10 @@ def _cmd_classgroup(args) -> int:
     return 0
 
 
-def _cmd_scan(args, statistic: str) -> int:
+def _cmd_scan(args) -> int:
     cfg = StatConfig(c3=args.c3, A=args.A)
     sieve = arith.build_sieve(max(2, int(args.X)))
-    fn = stats.bv_statistic if statistic == "bv" else stats.bdh_statistic
+    fn = stats.bv_statistic if args.command == "scan-bv" else stats.bdh_statistic
     report = fn(args.Q, args.X, sieve, cfg, threads=args.threads)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
     _emit(args, text)
@@ -233,7 +250,7 @@ def _cmd_scan(args, statistic: str) -> int:
 
 
 def _cmd_least_prime(args) -> int:
-    group = _group(args.q)
+    group = class_group(args.q)
     indices = (
         [args.class_index]
         if args.class_index is not None
@@ -271,8 +288,6 @@ def _cmd_least_prime(args) -> int:
 
 
 def _cmd_x2ny2(args) -> int:
-    if (args.max_n is None) == (args.n is None):
-        raise UsageError("give exactly one of --max-n or --n")
     if args.n is not None:
         res = stats.least_prime_x2ny2(args.n, cap=args.cap)
         if res.status != "found":
@@ -369,25 +384,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        RunConfig(args)
-        command = args.command
-        if command == "classgroup":
-            return _cmd_classgroup(args)
-        if command == "scan-bv":
-            return _cmd_scan(args, "bv")
-        if command == "scan-bdh":
-            return _cmd_scan(args, "bdh")
-        if command == "least-prime":
-            return _cmd_least_prime(args)
-        if command == "x2ny2":
-            return _cmd_x2ny2(args)
-        if command == "sieve-ratio":
-            return _cmd_sieve_ratio(args)
-        if command == "check-identities":
-            return _cmd_check_identities(args)
-        if command == "tabulate":
-            return _cmd_tabulate(args)
-        raise UsageError(f"unknown command {command!r}")
+        return args.run(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return 1

@@ -1,7 +1,8 @@
-import argparse
 import hashlib
 import json
 import os
+import re
+import runpy
 import struct
 import subprocess
 import sys
@@ -13,10 +14,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qforms import cache, characters, forms, sievelab, stats
+from qforms import cache, characters, cli, forms, sievelab, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants
 from qforms.characters import WTable, build_w_table
-from qforms.cli import MAX_Q, MAX_TABLE_N, MAX_THREADS, RunConfig, UsageError, main
+from qforms.cli import (
+    MAX_Q,
+    MAX_TABLE_N,
+    MAX_THREADS,
+    MAX_TRIALS,
+    MAX_X,
+    MAX_X2NY2_N,
+    UsageError,
+    main,
+)
 from qforms.forms import QuadForm, class_group
 
 
@@ -393,6 +403,42 @@ def test_x2ny2_requires_exactly_one_mode(capsys):
     assert code == 1
 
 
+def test_x2ny2_script_matches_the_cli(capsys, monkeypatch):
+    code, out, _ = run_cli(capsys, "x2ny2", "--max-n", "100", "--format", "json")
+    assert code == 0
+    rows = [[r["n"], r["prime"], r["y_min"]] for r in json.loads(out)["exceptional"]]
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_x2ny2_scan.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--max-n", "100"])
+    runpy.run_path(str(script), run_name="__main__")
+    head, *lines = capsys.readouterr().out.splitlines()
+    assert head == f"n <= 100 with y_min >= 2: {len(rows)}"
+    pattern = re.compile(r"  n=\s*(\d+)  least prime\s+(\d+)  y_min=(\d+)")
+    assert [[int(g) for g in pattern.match(line).groups()] for line in lines] == rows
+
+
+def test_max_n_above_the_cap_is_refused(capsys, monkeypatch):
+    # the scan holds every n up to max-n at once
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("x^2 + n y^2 search started")
+
+    monkeypatch.setattr(stats, "_least_primes_x2ny2", refuse)
+    code, out, err = run_cli(capsys, "x2ny2", "--max-n", str(MAX_X2NY2_N + 1))
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage:") and "exceeds cap" in err and err.count("\n") == 1
+
+
+def test_trials_above_the_cap_are_refused(capsys, monkeypatch):
+    # the experiment keeps one ratio per trial
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sieve experiment started")
+
+    monkeypatch.setattr(sievelab, "run_sieve_experiment", refuse)
+    argv = ("sieve-ratio", "-Q", "10", "-N", "100", "--trials", str(MAX_TRIALS + 1))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage:") and "exceeds cap" in err and err.count("\n") == 1
+
+
 def test_least_prime_cap_exit_code(capsys):
     code, out, err = run_cli(capsys, "least-prime", "-q", "-23", "--cap", "3")
     assert code == 2
@@ -739,13 +785,14 @@ def test_q_above_the_cap_is_refused_before_enumeration(capsys, monkeypatch, comm
     for q in (-1_000_000_000_007, -(MAX_Q + 3)):
         code, out, err = run_cli(capsys, command, "-q", str(q))
         assert code == 1 and out == "" and "exceeds cap" in err, err
-    RunConfig(argparse.Namespace(q=-MAX_Q))
+    parse = cli._build_parser().parse_args
+    assert parse([command, "-q", "-999995"]).q.q == -999995  # the largest |q| in the family
     with pytest.raises(UsageError, match="exceeds cap"):
-        RunConfig(argparse.Namespace(q=-MAX_Q - 1))
+        parse([command, "-q", str(-MAX_Q - 1)])
 
 
 def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
-    # refused by RunConfig before the scan starts; the executor is replaced
+    # refused as the option is parsed, before the scan starts; the executor is replaced
     # so that no thread could start even if the check were missing
     def refuse(*_args, **_kwargs):
         raise AssertionError("thread pool started")
@@ -756,14 +803,16 @@ def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
             capsys, command, "-Q", "50", "-X", "1000", "--threads", str(10**9)
         )
         assert code == 1 and "exceeds cap" in err, err
-    RunConfig(argparse.Namespace(threads=MAX_THREADS))
+    parse = cli._build_parser().parse_args
+    argv = ["scan-bv", "-Q", "50", "-X", "1000", "--threads"]
+    assert parse([*argv, str(MAX_THREADS)]).threads == MAX_THREADS
     with pytest.raises(UsageError, match="exceeds cap"):
-        RunConfig(argparse.Namespace(threads=MAX_THREADS + 1))
+        parse([*argv, str(MAX_THREADS + 1)])
 
 
 def test_mn_limit_above_the_cap_is_refused(capsys, monkeypatch):
-    # the Hecke check tabulates h x (mn_limit + 1) weights: refused by
-    # RunConfig before either identity check starts
+    # the Hecke check tabulates h x (mn_limit + 1) weights: refused as the
+    # option is parsed, before either identity check starts
     def refuse(*_args, **_kwargs):
         raise AssertionError("identity check started")
 
@@ -772,9 +821,79 @@ def test_mn_limit_above_the_cap_is_refused(capsys, monkeypatch):
     for limit in (10**13, MAX_TABLE_N + 1):
         code, out, err = run_cli(capsys, "check-identities", "-Q", "3", "--mn-limit", str(limit))
         assert code == 1 and out == "" and "exceeds cap" in err, err
-    RunConfig(argparse.Namespace(mn_limit=MAX_TABLE_N))
+    parse = cli._build_parser().parse_args
+    argv = ["check-identities", "-Q", "3", "--mn-limit"]
+    assert parse([*argv, str(MAX_TABLE_N)]).mn_limit == MAX_TABLE_N
     with pytest.raises(UsageError, match="exceeds cap"):
-        RunConfig(argparse.Namespace(mn_limit=MAX_TABLE_N + 1))
+        parse([*argv, str(MAX_TABLE_N + 1)])
+
+
+# the values each numeric option refuses: below its floor, nan (float
+# options only) and its cap + 1
+REFUSED = {
+    "-q": ("0", str(-MAX_Q - 1)),
+    "-Q": ("0", "nan", str(MAX_Q + 1)),
+    "-X": ("1.5", "nan", str(MAX_X + 1)),
+    "--c3": ("0", "nan"),
+    "-A": ("nan",),
+    "--eps": ("nan",),
+    "-N": ("0", str(MAX_TABLE_N + 1)),
+    "--mn-limit": ("0", str(MAX_TABLE_N + 1)),
+    "--cap": ("0", str(MAX_X + 1)),
+    "--threads": ("0", str(MAX_THREADS + 1)),
+    "--trials": ("0", str(MAX_TRIALS + 1)),
+    "--max-n": ("0", str(MAX_X2NY2_N + 1)),
+    "--n": ("0",),
+}
+UNBOUNDED = {"--class-index", "--seed", "--delta-n"}  # any int: checked by the command
+# the other options each subcommand needs; the x2ny2 modes go alone
+NEEDS = {
+    "classgroup": {"-q": "-23"},
+    "least-prime": {"-q": "-23"},
+    "scan-bv": {"-Q": "30", "-X": "1000"},
+    "scan-bdh": {"-Q": "30", "-X": "1000"},
+    "x2ny2": {},
+    "sieve-ratio": {"-Q": "10", "-N": "100"},
+    "check-identities": {"-Q": "10"},
+    "tabulate": {"-Q": "10", "-N": "10"},
+}
+
+
+def _typed_options():
+    (sub,) = [a for a in cli._build_parser()._actions if a.dest == "command"]
+    return [
+        (command, action.option_strings[0])
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type is not None
+    ]
+
+
+def test_every_typed_option_is_listed():
+    options = _typed_options()
+    assert {command for command, _ in options} == set(NEEDS)
+    assert {option for _, option in options} == set(REFUSED) | UNBOUNDED
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        (command, option, value)
+        for command, option in _typed_options()
+        for value in REFUSED.get(option, ())
+    ],
+)
+def test_numeric_options_refuse_values_outside_their_bounds(
+    capsys, tmp_path, command, option, value
+):
+    given = {**NEEDS[command], option: value}
+    argv = [command, *(word for pair in given.items() for word in pair)]
+    if command == "tabulate":
+        argv += ["--cache", str(tmp_path / "cache")]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: usage: argument {option}:") and err.count("\n") == 1, err
+    assert not (tmp_path / "cache").exists()
 
 
 def test_env_cache_dir(tmp_path, capsys, monkeypatch):
