@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Each numeric option is checked as it is parsed, before any work starts.
-NaN, infinity, a value not above 0 (below 2 for X; -A and --eps take any
-finite value) and a value above its cap are usage errors.  The caps:
+NaN, infinity, a value not above 0 (below 2 for X) and a value above its
+cap are usage errors, and so is a `--delta-n` above N.  The caps:
 
     -Q, |q|           1e6  MAX_Q (-q must also be a negative fundamental
                            discriminant)
@@ -19,10 +19,11 @@ identity violation.  Errors print one machine-parseable line
 invalid-input, io (exit 1), unresolved (exit 2) and identity-violation
 (exit 3).
 
-`check-identities` prints one count line per check, then up to 50 lines
-per check for its violations, each a class of q where the Hecke relation
-fails at the pair (m, n), or a split q = d1 d2 whose real character's
-lambda(n) differs from the convolution (d1/.) * (d2/.) at n:
+`check-identities` runs both checks in one pass, one class group and one
+weight table up to max(mn_limit, N) per q.  It prints one count line per
+check, then up to 50 lines per check for its violations, each a class of q
+where the Hecke relation fails at the pair (m, n), or a split q = d1 d2
+whose real character's lambda(n) differs from (d1/.) * (d2/.) at n:
 
     hecke q=<q> class=<index> m=<m> n=<n> lhs=<int> rhs=<int>
     convolution q=<q> d1=<d1> d2=<d2> n=<n> lambda=<int> conv=<int>
@@ -78,15 +79,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(kind, name: str, low: float | None = 0, cap: float | None = None):
+def _number(kind, name: str, low: float = 0, cap: float | None = None):
     """An argparse type for a finite `kind` value that is above 0 and at
-    least `low` (no floor if low is None) and at most `cap`."""
+    least `low` and at most `cap`."""
 
     def parse(text: str):
         value = kind(text)
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"{name}={value} is not finite")
-        if low is not None and not (value > 0 and value >= low):
+        if not (value > 0 and value >= low):
             floor = "positive" if low <= 1 else f"at least {low}"
             raise argparse.ArgumentTypeError(f"{name} must be {floor}")
         if cap is not None and value > cap:
@@ -139,7 +140,7 @@ def _build_parser() -> _Parser:
         p.add_argument("-Q", type=_Q, required=True)
         p.add_argument("-X", type=_number(float, "X", low=2, cap=MAX_X), required=True)
         p.add_argument("--c3", type=_number(float, "c3"), default=20.0)
-        p.add_argument("-A", type=_number(float, "A", low=None), default=2.0)
+        p.add_argument("-A", type=_number(float, "A"), default=2.0)
         p.add_argument("--threads", type=_number(int, "threads", cap=MAX_THREADS), default=1)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default=None)
@@ -170,8 +171,8 @@ def _build_parser() -> _Parser:
     p.add_argument(
         "--coeffs", choices=("rademacher", "ones", "zeros", "delta"), default="rademacher"
     )
-    p.add_argument("--delta-n", dest="delta_n", type=int, default=1)
-    p.add_argument("--eps", type=_number(float, "eps", low=None), default=0.1)
+    p.add_argument("--delta-n", dest="delta_n", type=_number(int, "delta-n"), default=1)
+    p.add_argument("--eps", type=_number(float, "eps"), default=0.1)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check-identities", help="Hecke and convolution identity scans")
@@ -322,6 +323,8 @@ def _cmd_x2ny2(args) -> int:
 
 
 def _cmd_sieve_ratio(args) -> int:
+    if args.delta_n > args.N:
+        raise UsageError(f"argument --delta-n: delta-n={args.delta_n} exceeds N={args.N}")
     cfg = sievelab.SieveExperimentConfig(
         Q=int(args.Q),
         N=args.N,
@@ -337,8 +340,7 @@ def _cmd_sieve_ratio(args) -> int:
 
 
 def _cmd_check_identities(args) -> int:
-    hecke = sievelab.hecke_check(args.Q, args.mn_limit)
-    conv = sievelab.convolution_check(args.Q, args.N)
+    hecke, conv = sievelab.check_identities(args.Q, args.mn_limit, args.N)
     lines = [
         f"hecke relation: Q={format_float(args.Q)} mn_limit={args.mn_limit}"
         f" violations={len(hecke)}",

@@ -10,9 +10,9 @@ exact integer for integer coefficients, less the squares of the real
 (genus) characters; sieve_lhs recomputes it from the complex lambda rows as
 an independent check.
 
-Both identity checks are exact integer checks on the w-table, row by row
-over m <= isqrt(L) (min(m, n) <= isqrt(L) for each pair m n <= L), and
-neither builds the character table.  The Hecke product relation holds for
+check_identities builds one w-table per q, up to max(L, N), for both exact
+integer checks; neither builds the character table, and hecke_check runs
+row by row over m <= isqrt(L).  The Hecke product relation holds for
 every character iff it holds in the class group's algebra (orthogonality),
 so hecke_check compares sum_{C1 C2 = C} w(C1, m) w(C2, n) with
 sum_{d | (m, n)} (q/d) w(C, mn/d^2) for every class C.  The real-character
@@ -47,6 +47,7 @@ __all__ = [
     "sieve_lhs",
     "ratio_denominator",
     "run_sieve_experiment",
+    "check_identities",
     "hecke_check",
     "convolution_check",
     "HeckeViolation",
@@ -291,9 +292,23 @@ class ConvolutionViolation:
     conv: int
 
 
-def hecke_check(Q: float, mn_limit: int) -> list[HeckeViolation]:
+def check_identities(
+    Q: float, mn_limit: int, N: int
+) -> tuple[list[HeckeViolation], list[ConvolutionViolation]]:
+    """(hecke_check, convolution_check) violations of every scan q with |q| <= Q, in one
+    pass: per q one group and one w-table up to max(mn_limit, N), read by both checks."""
+    hecke, conv = [], []
+    for q in arith.fundamental_discriminants(Q):
+        group = class_group(q)
+        w = build_w_table(group, max(mn_limit, N)).w
+        hecke += hecke_check(group, w, mn_limit)
+        conv += convolution_check(group, w, N)
+    return hecke, conv
+
+
+def hecke_check(group: FormClassGroup, w: np.ndarray, mn_limit: int) -> list[HeckeViolation]:
     """Verify, exactly, lambda(m) lambda(n) = sum_{d | gcd(m,n)} (q/d) lambda(mn/d^2)
-    for every character of every scan q with |q| <= Q and all m n <= mn_limit.
+    for every character of the group and all m n <= mn_limit, on w up to column mn_limit.
 
     By orthogonality that holds for every character iff, for every class C,
         sum_{C1 C2 = C} w(C1, m) w(C2, n) = sum_{d | (m, n)} (q/d) w(C, mn/d^2),
@@ -305,63 +320,53 @@ def hecke_check(Q: float, mn_limit: int) -> list[HeckeViolation]:
     symmetric in m and n, so a violation (m, n) with n > m is also reported
     as (n, m).
 
-    Returns the violations ordered by q, m, class, n; empty on success.
+    Returns the violations ordered by m, class, n; empty on success.
     """
-    out = []
     top = math.isqrt(mn_limit)
-    divs = [arith.divisors(m)[1:] for m in range(1, top + 1)]  # divs[m - 1]: d > 1
-    for q in arith.fundamental_discriminants(Q):
-        group = class_group(q)
-        w = build_w_table(group, mn_limit).w
-        inv = [group.inverse(i) for i in range(group.h)]
-        shift = group.composition[:, inv].T  # shift[C1, C] = C C1^-1
-        cols = w[:, : top + 1].T.tolist()  # cols[m][C1] = w(C1, m)
-        chi_q = kronecker_table(q.q, top).tolist()
-        found = []  # (m, n, class, lhs, rhs) arrays of the violations
-        for m in range(1, top + 1):
-            hi = mn_limit // m
-            rhs = w[:, m * m : m * hi + 1 : m].copy()
-            for d in divs[m - 1]:
-                if chi_q[d]:
-                    e = m // d
-                    rhs[:, ::d] += chi_q[d] * w[:, e * e : e * (hi // d) + 1 : e]
-            # 0 when no ideal has norm m
-            lhs = sum(k * w[shift[c1], m : hi + 1] for c1, k in enumerate(cols[m]) if k)
-            if (lhs == rhs).all():
-                continue
-            ci, idx = np.nonzero(lhs != rhs)
-            n, left, right = idx + m, np.broadcast_to(lhs, rhs.shape)[ci, idx], rhs[ci, idx]
-            mirror = n > m
-            found.append((np.full_like(n, m), n, ci, left, right))
-            found.append(
-                (n[mirror], np.full_like(n[mirror], m), ci[mirror], left[mirror], right[mirror])
-            )
-        if not found:
+    divs = [[] for _ in range(top + 1)]  # divs[m]: the divisors d > 1 of m
+    for d in range(2, top + 1):
+        for m in range(d, top + 1, d):
+            divs[m].append(d)
+    inv = [group.inverse(i) for i in range(group.h)]
+    shift = group.composition[:, inv].T  # shift[C1, C] = C C1^-1
+    cols = w[:, : top + 1].T.tolist()  # cols[m][C1] = w(C1, m)
+    chi_q = kronecker_table(group.q.q, top).tolist()
+    found = []  # (m, class, n, lhs, rhs) of the violations
+    for m in range(1, top + 1):
+        hi = mn_limit // m
+        rhs = w[:, m * m : m * hi + 1 : m].copy()
+        for d in divs[m]:
+            if chi_q[d]:
+                e = m // d
+                rhs[:, ::d] += chi_q[d] * w[:, e * e : e * (hi // d) + 1 : e]
+        # 0 when no ideal has norm m
+        lhs = sum(k * w[shift[c1], m : hi + 1] for c1, k in enumerate(cols[m]) if k)
+        if (lhs == rhs).all():
             continue
-        m, n, ci, lhs, rhs = (np.concatenate(col).tolist() for col in zip(*found))
-        for i in np.lexsort((n, ci, m)).tolist():
-            out.append(HeckeViolation(q.q, ci[i], m[i], n[i], lhs[i], rhs[i]))
-    return out
+        ci, idx = np.nonzero(lhs != rhs)
+        left = np.broadcast_to(lhs, rhs.shape)[ci, idx].tolist()
+        for c, n, a, b in zip(ci.tolist(), (idx + m).tolist(), left, rhs[ci, idx].tolist()):
+            found.append((m, c, n, a, b))
+            if n > m:
+                found.append((n, c, m, a, b))
+    return [HeckeViolation(group.q.q, c, m, n, a, b) for m, c, n, a, b in sorted(found)]
 
 
-def convolution_check(Q: float, N: int) -> list[ConvolutionViolation]:
+def convolution_check(group: FormClassGroup, w: np.ndarray, N: int) -> list[ConvolutionViolation]:
     """Verify, exactly, that every real character's lambda equals the
-    Dirichlet convolution (d1/.) * (d2/.) of its split q = d1 d2, for n <= N
-    and every scan q with |q| <= Q.
+    Dirichlet convolution (d1/.) * (d2/.) of its split q = d1 d2, for n <= N,
+    reading the group's w-table w up to column N.
 
     The real characters and their splits come from the forms
     (characters.genus_characters), lambda(n) = sum_C (d1/m_C) w(C, n).
-    Returns the violations ordered by q, split, n; empty on success.
+    Returns the violations ordered by split, n; empty on success.
     """
     out = []
-    for q in arith.fundamental_discriminants(Q):
-        group = class_group(q)
-        w = build_w_table(group, N).w
-        for d1, d2, row in genus_characters(group):
-            lam = row @ w
-            conv = kronecker_convolution(d1, d2, N)
-            for n in np.flatnonzero(conv[1:] != lam[1:]).tolist():
-                out.append(
-                    ConvolutionViolation(q.q, d1, d2, n + 1, int(lam[n + 1]), int(conv[n + 1]))
-                )
+    for d1, d2, row in genus_characters(group):
+        lam = row @ w[:, : N + 1]
+        conv = kronecker_convolution(d1, d2, N)
+        out += [
+            ConvolutionViolation(group.q.q, d1, d2, n, int(lam[n]), int(conv[n]))
+            for n in (np.flatnonzero(conv[1:] != lam[1:]) + 1).tolist()
+        ]
     return out

@@ -83,7 +83,7 @@ def test_criterion_2_average_identity(sieve_10k, capsys):
 
 
 def test_criterion_3_hecke_relation(capsys):
-    violations = sievelab.hecke_check(200, 2500)
+    violations = sievelab.check_identities(200, 2500, 1)[0]
     with capsys.disabled():
         _report(
             "3 Hecke relation, family to 200, mn<=2500, exact in the class group",
@@ -93,7 +93,7 @@ def test_criterion_3_hecke_relation(capsys):
 
 
 def test_criterion_4_kronecker_convolution(capsys):
-    violations = sievelab.convolution_check(500, 10_000)
+    violations = sievelab.check_identities(500, 1, 10_000)[1]
     with capsys.disabled():
         _report(
             "4 Kronecker factorization convolution, family to 500, N=1e4 exact",

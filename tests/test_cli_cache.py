@@ -439,6 +439,20 @@ def test_trials_above_the_cap_are_refused(capsys, monkeypatch):
     assert err.startswith("error: usage:") and "exceeds cap" in err and err.count("\n") == 1
 
 
+def test_delta_n_above_n_is_refused(capsys, monkeypatch):
+    argv = ("sieve-ratio", "-Q", "10", "-N", "5", "--coeffs", "delta", "--delta-n")
+    code, out, _ = run_cli(capsys, *argv, "5")
+    assert code == 0 and json.loads(out)["meta"]["delta_n"] == 5
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("sieve experiment started")
+
+    monkeypatch.setattr(sievelab, "run_sieve_experiment", refuse)
+    code, out, err = run_cli(capsys, *argv, "6")
+    assert code == 1 and out == ""
+    assert err == "error: usage: argument --delta-n: delta-n=6 exceeds N=5\n", err
+
+
 def test_least_prime_cap_exit_code(capsys):
     code, out, err = run_cli(capsys, "least-prime", "-q", "-23", "--cap", "3")
     assert code == 2
@@ -835,8 +849,9 @@ REFUSED = {
     "-Q": ("0", "nan", str(MAX_Q + 1)),
     "-X": ("1.5", "nan", str(MAX_X + 1)),
     "--c3": ("0", "nan"),
-    "-A": ("nan",),
-    "--eps": ("nan",),
+    "-A": ("0", "nan"),
+    "--eps": ("0", "nan"),
+    "--delta-n": ("0",),
     "-N": ("0", str(MAX_TABLE_N + 1)),
     "--mn-limit": ("0", str(MAX_TABLE_N + 1)),
     "--cap": ("0", str(MAX_X + 1)),
@@ -845,7 +860,7 @@ REFUSED = {
     "--max-n": ("0", str(MAX_X2NY2_N + 1)),
     "--n": ("0",),
 }
-UNBOUNDED = {"--class-index", "--seed", "--delta-n"}  # any int: checked by the command
+UNBOUNDED = {"--class-index", "--seed"}  # any int: checked by the command
 # the other options each subcommand needs; the x2ny2 modes go alone
 NEEDS = {
     "classgroup": {"-q": "-23"},

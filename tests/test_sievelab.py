@@ -22,9 +22,8 @@ from qforms.forms import class_group, compose_forms
 from qforms.sievelab import (
     PRESETS,
     SieveExperimentConfig,
+    check_identities,
     complex_character_lambdas,
-    convolution_check,
-    hecke_check,
     ratio_denominator,
     run_sieve_experiment,
     sieve_lhs,
@@ -311,7 +310,7 @@ def test_hecke_identity_spot_by_hand():
 
 
 def test_hecke_check_clean_small():
-    assert hecke_check(60, 400) == []
+    assert check_identities(60, 400, 1)[0] == []
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +441,9 @@ def _shift_weights(monkeypatch, rows=slice(None)):
 
 
 def test_hecke_check_matches_class_group_reference_on_shifted_weights(monkeypatch):
-    assert hecke_check(60, 200) == [] == _hecke_class_reference(60, 200)
+    assert check_identities(60, 200, 1)[0] == [] == _hecke_class_reference(60, 200)
     _shift_weights(monkeypatch)
-    fast = _hecke_tuples(hecke_check(60, 200))
+    fast = _hecke_tuples(check_identities(60, 200, 1)[0])
     assert fast == _hecke_class_reference(60, 200)
     assert {v[:4] for v in fast if v[2] == v[3] == 1} == {
         (q.q, c, 1, 1) for q in fundamental_discriminants(60) for c in range(class_group(q).h)
@@ -457,17 +456,17 @@ def test_hecke_check_matches_reference_at_every_small_limit(monkeypatch):
     # small limits cover the isqrt(mn_limit) row boundary and the mirrored
     # pairs (n, m) with n > m
     for L in range(1, 27):
-        assert hecke_check(40, L) == [] == _hecke_class_reference(40, L)
+        assert check_identities(40, L, 1)[0] == [] == _hecke_class_reference(40, L)
     for rows in (slice(None), slice(1, 2)):
         with monkeypatch.context() as patch:
             _shift_weights(patch, rows)
             for L in range(1, 27):
-                fast = _hecke_tuples(hecke_check(40, L))
+                fast = _hecke_tuples(check_identities(40, L, 1)[0])
                 assert fast and fast == _hecke_class_reference(40, L), (rows, L)
 
 
 def test_hecke_check_catches_planted_fault(planted_fault):
-    violations = hecke_check(60, 1200)
+    violations = check_identities(60, 1200, 1)[0]
     assert violations
     for v in violations:
         assert v.q == FAULT_Q
@@ -480,7 +479,7 @@ def test_hecke_check_catches_planted_fault(planted_fault):
 
 
 def test_convolution_check_catches_planted_fault(planted_fault):
-    violations = convolution_check(60, 1200)
+    violations = check_identities(60, 1, 1200)[1]
     splits = [kronecker_factorize(c, build_w_table(class_group(FAULT_Q), 1000))
               for c in characters(class_group(FAULT_Q)) if c.is_real]
     assert sorted((v.q, v.d1, v.d2, v.n) for v in violations) == sorted(
@@ -491,12 +490,26 @@ def test_convolution_check_catches_planted_fault(planted_fault):
     )
 
 
+def test_each_check_reads_only_its_own_limit(planted_fault):
+    # both checks read one table up to max(mn_limit, N), which holds the
+    # fault at n0 = 1008 either way; only the check whose limit reaches n0
+    # may report it
+    hecke, conv = check_identities(60, 1200, 1000)
+    assert hecke and _hecke_tuples(hecke) == _hecke_class_reference(60, 1200)
+    assert conv == []
+    hecke, conv = check_identities(60, 1000, 1200)
+    assert hecke == []
+    assert conv and [(v.q, v.d1, v.d2, v.n, v.lam, v.conv) for v in conv] == (
+        _convolution_reference(60, 1200)
+    )
+
+
 def test_check_identities_reports_violation_lines(planted_fault, capsys):
     assert cli.main(["check-identities", "-Q", "40", "--mn-limit", "1010", "-N", "1010"]) == 3
     out, err = capsys.readouterr()
     lines = out.splitlines()
     assert lines[0].startswith("hecke relation: Q=40 mn_limit=1010 violations=")
-    hecke = hecke_check(40, 1010)[0]
+    (hecke, *_), convolution = check_identities(40, 1010, 1010)
     assert lines[2] == (
         f"  hecke q={FAULT_Q} class={hecke.class_index} m={hecke.m} n={hecke.n}"
         f" lhs={hecke.lhs} rhs={hecke.rhs}"
@@ -504,27 +517,44 @@ def test_check_identities_reports_violation_lines(planted_fault, capsys):
     conv = [line for line in lines if line.startswith("  convolution")]
     assert conv == [
         f"  convolution q={v.q} d1={v.d1} d2={v.d2} n={FAULT_N0} lambda={v.lam} conv={v.conv}"
-        for v in convolution_check(40, 1010)
+        for v in convolution
     ] and len(conv) == 2
     assert err == "error: identity-violation: see report\n"
 
 
+def _check_identities_peak(*args):
+    """check_identities(*args) must find no violation; its tracemalloc peak in B."""
+    tracemalloc.start()
+    try:
+        assert check_identities(*args) == ([], [])
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_identity_checks_bounded_memory():
-    for check, args, bound_mb in (
-        (convolution_check, (20, 200_000), 16),
-        (hecke_check, (20, 20_000), 6),
+    for args, bound_mb in (
+        ((20, 1, 200_000), 16),
+        ((20, 20_000, 1), 6),
+        ((20, 20_000, 200_000), 16),
     ):
-        tracemalloc.start()
-        try:
-            assert check(*args) == []
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mb * 10**6, (check.__name__, peak)
+        peak = _check_identities_peak(*args)
+        assert peak <= bound_mb * 10**6, (args, peak)
+
+
+@pytest.mark.parametrize("Q", [50, 200])
+def test_check_identities_peak_grows_with_the_largest_group(Q):
+    # one group's int64 table of max(L, N) + 1 columns at a time, and room
+    # for the int64 rows computed from it (24 B per entry in all); keeping
+    # every table of the family exceeds the bound at both Q
+    L, N = 2500, 20_000
+    h_max = max(class_group(q).h for q in fundamental_discriminants(Q))
+    peak = _check_identities_peak(Q, L, N)
+    assert peak <= 24 * h_max * (max(L, N) + 1) + 10**6, (h_max, peak)
 
 
 def test_convolution_check_clean_small():
-    assert convolution_check(60, 500) == []
+    assert check_identities(60, 1, 500)[1] == []
 
 
 def test_convolution_check_minus15_directly():
