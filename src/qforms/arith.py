@@ -24,6 +24,7 @@ __all__ = [
     "is_squarefree",
     "factorize",
     "divisors",
+    "prime_discriminants",
     "kronecker_table",
     "dirichlet_convolve",
     "is_fundamental_discriminant",
@@ -77,17 +78,47 @@ def kronecker(d: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def prime_discriminants(d: int) -> list[int]:
+    """The prime discriminants whose product is the fundamental discriminant d
+    (either sign; none for d = 1): p* = (-1)^((p-1)/2) p for each odd p | d,
+    and -4, 8 or -8 for the 2-part."""
+    odd = [p if p % 4 == 1 else -p for p, _ in factorize(abs(d)) if p > 2]
+    two = d // math.prod(odd)
+    return odd + [two] if two != 1 else odd
+
+
+# (p*/n) for n mod 8 at the even prime discriminants p* = -4, 8, -8
+_TWO_PARTS = {
+    -4: np.array([0, 1, 0, -1, 0, 1, 0, -1], dtype=np.int64),
+    8: np.array([0, 1, 0, -1, 0, -1, 0, 1], dtype=np.int64),
+    -8: np.array([0, 1, 0, 1, 0, -1, 0, -1], dtype=np.int64),
+}
+
+
 def kronecker_table(d: int, N: int) -> np.ndarray:
     """(d/n) for n = 0..N as an int64 array, d a fundamental discriminant.
 
     For fundamental d (either sign, d = 1 included) n -> (d/n) is a character
-    of period |d|, so one period of scalar symbols is computed and tiled.
+    of period |d|, the product of the characters of its prime discriminants:
+    (p*/n) = (n/p), the Legendre symbol, for odd p, read from the squares
+    mod p, and a fixed table mod 8 for the 2-part.  One period is built from
+    these tables and tiled; the scalar kronecker is the tests' oracle.
     """
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
     if N < 0:
         raise ValueError("N must be nonnegative")
-    period = np.array([kronecker(d, n) for n in range(min(abs(d), N + 1))], dtype=np.int64)
+    n = np.arange(min(abs(d), N + 1))
+    period = np.ones(n.size, dtype=np.int64)
+    for p in prime_discriminants(d):
+        if p in _TWO_PARTS:
+            period *= _TWO_PARTS[p][n % 8]
+        else:
+            p = abs(p)
+            legendre = np.full(p, -1, dtype=np.int64)
+            legendre[0] = 0
+            legendre[np.arange(1, p) ** 2 % p] = 1
+            period *= legendre[n % p]
     return period[np.arange(N + 1) % period.size]
 
 
@@ -140,16 +171,20 @@ def divisors(n: int) -> list[int]:
 # Dirichlet convolution
 
 
-def dirichlet_convolve(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+def dirichlet_convolve(t1: np.ndarray, t2: np.ndarray, dtype=np.int64) -> np.ndarray:
     """Dirichlet convolution sum_{k j = n} t1[k] t2[j] for n = 0..L (entry 0 is 0).
 
-    t1 and t2 are int64 arrays indexed by n = 0..L.  Every pair k j = n <= L
-    has min(k, j) <= isqrt(L) (the hyperbola method), so row m adds the pairs
-    (m, j >= m) and (k > m, m) as two strided slices.  Each slice touches
-    each n at most once, so the in-place int64 sums are exact; memory is O(L).
+    t1 and t2 are integer arrays indexed by n = 0..L on axis 0, either one
+    sequence or one column per sequence (shape (L + 1, columns)), and column
+    c of the result convolves column c of t1 with column c of t2.  Every
+    pair k j = n <= L has min(k, j) <= isqrt(L) (the hyperbola method), so
+    row m adds the pairs (m, j >= m) and (k > m, m) as two strided slices,
+    for all columns at once.  Each slice touches each n at most once, so the
+    in-place sums are exact while the inputs' dtype holds every product and
+    dtype (of the result) every partial sum; memory is O(L) per column.
     """
-    L = t1.size - 1
-    out = np.zeros(L + 1, dtype=np.int64)
+    L = t1.shape[0] - 1
+    out = np.zeros(t1.shape, dtype=dtype)
     for m in range(1, math.isqrt(L) + 1):
         hi = L // m
         out[m * m : m * hi + 1 : m] += t1[m] * t2[m : hi + 1]

@@ -30,7 +30,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import arith
-from .arith import Discriminant, IdentityViolation, kronecker, kronecker_table
+from .arith import (
+    Discriminant,
+    IdentityViolation,
+    kronecker,
+    kronecker_table,
+    prime_discriminants,
+)
 from .forms import FormClassGroup, QuadForm, _half_lattice_values, classes_representing
 
 __all__ = [
@@ -43,7 +49,6 @@ __all__ = [
     "lambda_table",
     "lambda_table_int",
     "kronecker_factorize",
-    "kronecker_convolution",
     "genus_characters",
 ]
 
@@ -249,25 +254,12 @@ def kronecker_factorize(chi: ClassCharacter, table: WTable) -> tuple[int, int]:
                 continue
             if not arith.is_fundamental_discriminant(d2):
                 continue
-            conv = kronecker_convolution(d1, d2, limit)
+            conv = arith.dirichlet_convolve(kronecker_table(d1, limit), kronecker_table(d2, limit))
             if np.array_equal(conv[1:], lam[1:]):
                 return (d1, d2) if abs(d1) <= abs(d2) else (d2, d1)
     raise IdentityViolation(
         f"no Kronecker factorization matches the real character {chi.exponents} of q={q}"
     )
-
-
-def kronecker_convolution(d1: int, d2: int, L: int) -> np.ndarray:
-    """(d1/.) * (d2/.) Dirichlet convolution for n = 0..L, exact integers."""
-    return arith.dirichlet_convolve(kronecker_table(d1, L), kronecker_table(d2, L))
-
-
-def _prime_discriminants(q: int) -> list[int]:
-    """The prime discriminants whose product is the fundamental discriminant q:
-    p* = (-1)^((p-1)/2) p for each odd p | q, and -4, 8 or -8 for the 2-part."""
-    odd = [p if p % 4 == 1 else -p for p, _ in arith.factorize(-q) if p > 2]
-    two = q // math.prod(odd)
-    return odd + [two] if two != 1 else odd
 
 
 def _value_prime_to(f: QuadForm, n: int) -> int:
@@ -301,7 +293,7 @@ def genus_characters(group: FormClassGroup) -> list[tuple[int, int, np.ndarray]]
     a d1 or d2 is not a fundamental discriminant (a wrong sign).
     """
     q = group.q.q
-    primes = _prime_discriminants(q)
+    primes = prime_discriminants(q)
     m_c = [_value_prime_to(f, -q) for f in group.classes]
     splits = []
     # each split and its swap are one character: keep the last prime

@@ -91,14 +91,30 @@ def test_kronecker_periodicity_also_for_mod8_fundamentals():
 
 
 # fundamental discriminants of both signs, d = 1 included
-SIGNED_FUNDAMENTALS = [d for d in range(-300, 301) if is_fundamental_discriminant(d)]
+SIGNED_FUNDAMENTALS = [d for d in range(-3000, 3001) if is_fundamental_discriminant(d)]
 
 
-@given(d=st.sampled_from(SIGNED_FUNDAMENTALS), N=st.integers(min_value=0, max_value=700))
-def test_kronecker_table_matches_scalar(d, N):
-    table = arith.kronecker_table(d, N)
-    assert table.dtype == np.int64
-    assert table.tolist() == [kronecker(d, n) for n in range(N + 1)]
+def test_kronecker_table_matches_scalar():
+    # the table multiplies the characters of the prime discriminants; the
+    # scalar symbol, by reciprocity, is the oracle over one period and the
+    # start of the next, and a table shorter than the period is its prefix
+    for d in SIGNED_FUNDAMENTALS:
+        N = abs(d) + 8
+        want = [kronecker(d, n) for n in range(N + 1)]
+        table = arith.kronecker_table(d, N)
+        assert table.dtype == np.int64 and table.tolist() == want, d
+        assert arith.kronecker_table(d, abs(d) // 2).tolist() == want[: abs(d) // 2 + 1], d
+
+
+def test_prime_discriminants_multiply_to_d():
+    assert arith.prime_discriminants(1) == []
+    assert arith.prime_discriminants(-4) == [-4]
+    assert arith.prime_discriminants(-420) == [-3, 5, -7, -4]
+    assert arith.prime_discriminants(-3 * 5 * 8) == [-3, 5, 8]
+    for d in SIGNED_FUNDAMENTALS:
+        primes = arith.prime_discriminants(d)
+        assert math.prod(primes) == d, d
+        assert all(is_fundamental_discriminant(p) and p != 1 for p in primes), d
 
 
 def test_kronecker_table_rejects_non_fundamental():
@@ -126,6 +142,11 @@ def test_dirichlet_convolution_matches_brute_force(L):
         for j in range(1, L // k + 1):
             want[k * j] += a[k] * b[j]
     assert conv.tolist() == want
+    # one column per sequence, and narrow dtypes that hold every value
+    cols = arith.dirichlet_convolve(np.stack([t1, t2], axis=1), np.stack([t2, t1], axis=1))
+    assert cols.dtype == np.int64 and cols.T.tolist() == [want, want]
+    narrow = arith.dirichlet_convolve(t1.astype(np.int8), t2.astype(np.int8), dtype=np.int16)
+    assert narrow.dtype == np.int16 and narrow.tolist() == want
 
 
 # ---------------------------------------------------------------------------

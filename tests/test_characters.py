@@ -410,10 +410,10 @@ def test_genus_check_catches_planted_faults(monkeypatch):
         with pytest.raises(IdentityViolation, match="equal genera"):
             genus_characters(class_group(-39))
     # a wrong sign of d1: p instead of p* = -p for p = 3 of q = -15
-    primes = characters_module._prime_discriminants
+    primes = characters_module.prime_discriminants
     with monkeypatch.context() as patch:
         patch.setattr(
-            characters_module, "_prime_discriminants", lambda q: [-primes(q)[0], *primes(q)[1:]]
+            characters_module, "prime_discriminants", lambda q: [-primes(q)[0], *primes(q)[1:]]
         )
         with pytest.raises(IdentityViolation, match="fundamental"):
             genus_characters(class_group(-15))

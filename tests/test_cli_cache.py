@@ -531,10 +531,10 @@ def test_genus_faults_exit_3(capsys, monkeypatch):
     # of p* for the first odd prime): each is an identity violation, exit 3
     assert run_cli(capsys, "check-identities", "-Q", "60")[0] == 0
     triples = forms._reduced_triples
-    primes = characters._prime_discriminants
+    primes = characters.prime_discriminants
     for name, module, fault in (
         ("_reduced_triples", forms, lambda d: (t for t in triples(d) if (d, t) != (52, (2, 2, 7)))),
-        ("_prime_discriminants", characters, lambda q: [-primes(q)[0], *primes(q)[1:]]),
+        ("prime_discriminants", characters, lambda q: [-primes(q)[0], *primes(q)[1:]]),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, fault)

@@ -14,6 +14,7 @@ from qforms.arith import divisors, fundamental_discriminants, kronecker
 from qforms.characters import (
     build_w_table,
     characters,
+    genus_characters,
     kronecker_factorize,
     lambda_table,
     lambda_table_int,
@@ -283,6 +284,25 @@ def test_sieve_lhs_catches_dropped_inverse_copy(monkeypatch):
     assert run_sieve_experiment(cfg).ratios != pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize("row_sum", [2**24 - 1, 2**24])
+def test_class_sums_refuse_rows_past_float32(monkeypatch, row_sum):
+    # the float32 class sums are exact while every partial sum, at most a
+    # row sum of w for coefficients in {-1, 0, 1}, stays below 2^24
+    real = sievelab.build_w_table
+
+    def heavy(group, N, *args, **kwargs):
+        table = real(group, N, *args, **kwargs)
+        table.w[:, 1] += row_sum - table.w[:, 1:].sum(axis=1)
+        return table
+
+    monkeypatch.setattr(sievelab, "build_w_table", heavy)
+    if row_sum < 2**24:
+        assert sievelab._class_sums(30, 100).rows.sum(axis=1).max() == row_sum
+    else:
+        with pytest.raises(ValueError, match="float32"):
+            sievelab._class_sums(30, 100)
+
+
 @pytest.mark.parametrize("trials", [100, 1000])
 def test_experiment_memory_bounded_in_trials(trials):
     cfg = SieveExperimentConfig(Q=300, N=10_000, trials=trials, seed=5)
@@ -520,6 +540,73 @@ def test_check_identities_reports_violation_lines(planted_fault, capsys):
         for v in convolution
     ] and len(conv) == 2
     assert err == "error: identity-violation: see report\n"
+
+
+# block budgets in bytes: one group per block, a few groups per block at
+# (60, 300, 300) and at (60, 1200, 1200), and the whole family in one block
+BUDGETS = (0, 40_000, 150_000, 2**62)
+
+
+def _lists_per_budget(monkeypatch, *args):
+    lists = []
+    for budget in BUDGETS:
+        monkeypatch.setattr(sievelab, "_BLOCK_BYTES", budget)
+        lists.append(check_identities(*args))
+    return lists
+
+
+def test_block_budget_cuts_the_family():
+    args = (60, 1200, 1200)
+    family = [q.q for q in fundamental_discriminants(60)]
+    sizes = []
+    for budget in BUDGETS:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(sievelab, "_BLOCK_BYTES", budget)
+            blocks = list(sievelab._blocks(*args))
+        assert [group.q.q for block in blocks for group, _ in block] == family
+        sizes.append(len(blocks))
+    assert sizes[0] == len(family) > sizes[2] > 1 == sizes[-1], sizes
+
+
+def test_block_budget_keeps_the_planted_fault_lists(planted_fault, monkeypatch):
+    first, *others = _lists_per_budget(monkeypatch, 60, 1200, 1200)
+    assert first[0] and first[1]
+    assert all(lists == first for lists in others)
+
+
+@pytest.mark.parametrize("rows", [slice(None), slice(1, 2)], ids=["all classes", "class 1"])
+def test_block_budget_keeps_the_shifted_weight_lists(monkeypatch, rows):
+    _shift_weights(monkeypatch, rows)
+    first, *others = _lists_per_budget(monkeypatch, 60, 300, 300)
+    assert first[0] and first[1]
+    assert all(lists == first for lists in others)
+
+
+def test_faults_either_side_of_a_block_edge(monkeypatch):
+    # one weight flipped in the last group of a block and one in the first
+    # group of the next; n0 = 19 * 53, so the pair (19, 53) alone puts the
+    # flipped weight on the right side of its own class
+    Q, L, n0 = 60, 1200, 1007
+    monkeypatch.setattr(sievelab, "_BLOCK_BYTES", 150_000)
+    blocks = list(sievelab._blocks(Q, L, L))
+    last, next_first = blocks[0][-1][0], blocks[1][0][0]
+    faults = {last.q.q: last.h - 1, next_first.q.q: next_first.h - 1}
+    real = sievelab.build_w_table
+
+    def faulty(group, N, *args, **kwargs):
+        table = real(group, N, *args, **kwargs)
+        if group.q.q in faults:
+            table.w[faults[group.q.q], n0] ^= 1
+        return table
+
+    monkeypatch.setattr(sievelab, "build_w_table", faulty)
+    hecke, conv = check_identities(Q, L, L)
+    assert {v.q for v in hecke} == set(faults)
+    assert set(faults.items()) <= {(v.q, v.class_index) for v in hecke if {v.m, v.n} == {19, 53}}
+    assert _hecke_tuples(hecke) == _hecke_class_reference(Q, L)
+    assert [(v.q, v.d1, v.d2, v.n) for v in conv] == [
+        (q, d1, d2, n0) for q in faults for d1, d2, _ in genus_characters(class_group(q))
+    ]
 
 
 def _check_identities_peak(*args):
