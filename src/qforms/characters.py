@@ -151,7 +151,7 @@ def build_w_table(
         counts = np.zeros(len(reps) * (N + 1), dtype=np.int64)
         offsets = np.arange(len(reps), dtype=np.int64) * (N + 1)
         abc = [tuple(group.classes[i]) for i in reps]
-        for vals in _half_lattice_values(abc, N, offsets=offsets):
+        for vals, _, _ in _half_lattice_values(abc, N, offsets=offsets):
             np.add.at(counts, vals, 1)
         counts = counts.reshape(len(reps), N + 1)
         # an ideal of norm n puts units/2 points on the half lattice: one

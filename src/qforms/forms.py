@@ -14,18 +14,21 @@ The lattice kernel uses f(x, y) = f(-x, -y): it enumerates only the half
 lattice (y > 0 with every x, y = 0 with x >= 1).  It takes a batch of forms
 and walks all of their rows in one pass, every row's exact x-range from one
 vectorised integer square root, and emits the values in numpy chunks of
-about _CHUNK points, so memory stays bounded at any limit; an offset per
-form keeps the forms' values apart.  A weight table is one such pass over a
-form of every inverse pair of a class group; value_counts, represented_mask
-and the prime counts of stats pass one form.  Given a modulus M the kernel
-visits only the points whose value is prime to M: f(x, y) mod M depends on
-x and y mod M alone, so each row splits into sub-rows of stride M, one for
-each residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the whole half
-lattice; the prime counts of stats use M = 6, which keeps about a quarter
-of the points and every prime p >= 5.  An ambiguous form (b = 0, b = a or
-a = c) has an improper automorphism that pairs the points of its half
-lattice; asked for its wedge, the kernel walks one point of each pair and
-leaves the fixed points out (_wedge_rows, _fixed_line_values).
+about _CHUNK points, so memory stays bounded at any limit.  Each chunk says
+which form each of its sub-rows belongs to; where the values alone must
+tell, an offset per form keeps them apart.  A weight table is one such pass
+over a form of every inverse pair of a class group, and the prime counts of
+stats one pass over those of a block of discriminants; value_counts,
+represented_mask and least_primes pass one form.  Given a modulus M the
+kernel visits only the points whose value is prime to M: f(x, y) mod M
+depends on x and y mod M alone, so each row splits into sub-rows of stride
+M, one for each residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the
+whole half lattice; the prime counts of stats use M = 6, which keeps about
+a quarter of the points and every prime p >= 5.  An ambiguous form (b = 0,
+b = a or a = c) has an improper automorphism that pairs the points of its
+half lattice; asked for its wedge, form by form, the kernel walks one point
+of each pair and leaves the fixed points out (_wedge_rows,
+_fixed_line_values).
 """
 
 from __future__ import annotations
@@ -550,44 +553,69 @@ def _fixed_line_values(a: int, b: int, c: int) -> tuple[int, int]:
     return 2 * a + b, 2 * a - b
 
 
-def _half_lattice_values(
-    abc,
-    limit: int,
-    M: int = 1,
-    offsets: np.ndarray | None = None,
-    wedge: bool = False,
-):
-    """Values of a batch of forms on their half lattices up to limit, in chunks.
+def _sub_rows(
+    abc: np.ndarray, limit: int, M: int, wedge: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(form, y, first, count) of every nonempty sub-row of _half_lattice_values.
 
-    abc is an (F, 3) batch of forms (a, b, c), all of their rows walked in
-    one pass; offsets[k], if given, is added to every value of form k, so
-    disjoint offsets tell the forms apart.  With wedge, every form must be
-    ambiguous (b = 0, b = a or a = c) and only its wedge is walked
-    (_wedge_rows).  With M > 1 only the points with gcd(f(x, y), M) = 1 are
-    visited, as sub-rows x = first, first + M, ... of each row.  Whole
-    sub-rows are grouped into chunks of about _CHUNK values, so a chunk's
-    size is at most _CHUNK plus one row, and memory stays
-    O(_CHUNK + F M sqrt(limit)) at any limit.
+    The rows of _half_rows, those of the forms flagged in wedge clipped by
+    _wedge_rows and put after the others, split into sub-rows x = first,
+    first + M, ... with gcd(f(x, y), M) = 1.  The sub-rows of each form stay
+    consecutive, y ascending.
     """
-    abc = np.asarray(abc, dtype=np.int64)
     form, y, lo, hi = _half_rows(abc, limit)
-    if wedge:
-        form, y, lo, hi = _wedge_rows(abc, form, y, lo, hi)
+    if wedge.any():
+        on = wedge[form]
+        flagged = np.flatnonzero(wedge)
+        local = np.cumsum(wedge) - 1  # a flagged form's index among the flagged
+        f2, y2, lo2, hi2 = _wedge_rows(abc[flagged], local[form[on]], y[on], lo[on], hi[on])
+        form, y, lo, hi = (
+            np.concatenate((col[~on], clipped))
+            for col, clipped in zip((form, y, lo, hi), (flagged[f2], y2, lo2, hi2))
+        )
     if M > 1:
         rows, rx = np.nonzero(_coprime_residues(abc, M)[form, y % M])
         lo = lo[rows]
         form, y, lo, hi = form[rows], y[rows], lo + (rx - lo) % M, hi[rows]
     n = (hi - lo) // M + 1
     keep = n > 0
-    form, y, lo, n = form[keep], y[keep], lo[keep], n[keep]
+    return form[keep], y[keep], lo[keep], n[keep]
+
+
+def _half_lattice_values(
+    abc,
+    limit: int,
+    M: int = 1,
+    offsets: np.ndarray | None = None,
+    wedge: list[bool] | None = None,
+):
+    """Values of a batch of forms on their half lattices up to limit, in chunks.
+
+    abc is an (F, 3) batch of forms (a, b, c), all of their rows walked in
+    one pass; offsets[k], if given, is added to every value of form k, so
+    disjoint offsets tell the forms apart.  wedge, if given, is one flag per
+    form: each flagged form must be ambiguous (b = 0, b = a or a = c), and
+    only its wedge is walked (_wedge_rows).  With M > 1 only
+    the points with gcd(f(x, y), M) = 1 are visited, as sub-rows x = first,
+    first + M, ... of each row.  Whole sub-rows are grouped into chunks of
+    about _CHUNK values, so a chunk's size is at most _CHUNK plus one row,
+    and memory stays O(_CHUNK + F M sqrt(limit)) at any limit.  Each chunk
+    is (vals, form, count): its values, then the form and the number of
+    values of each of its sub-rows; a form's sub-rows are consecutive.
+    """
+    abc = np.asarray(abc, dtype=np.int64)
+    wedge = np.zeros(len(abc), dtype=bool) if wedge is None else np.asarray(wedge, dtype=bool)
+    form, y, first, n = _sub_rows(abc, limit, M, wedge)
     if not n.size:
         return
     ends = np.cumsum(n)
-    starts = ends - n
     # the k-th point overall, in the sub-row that starts at point s, has
     # x = first + M (k - s) = M k - (M s - first)
-    shift = M * starts - lo
-    cuts = np.unique(np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK), side="right"))
+    shift = M * (ends - n) - first
+    del first
+    # the sub-row of each chunk's first point; sorted, so a repeat is adjacent
+    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK), side="right")
+    cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
     coefs = abc.tolist()
     for r0, r1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size]):
         cnt = n[r0:r1]
@@ -600,7 +628,7 @@ def _half_lattice_values(
         # instead of faulting in fresh ones per chunk
         one_form = k[0] == k[-1]
         a, b, c = coefs[k[0]] if one_form else abc[k].T
-        xs = np.arange(M * starts[r0], M * ends[r1 - 1], M)
+        xs = np.arange(M * (ends[r0] - cnt[0]), M * ends[r1 - 1], M)
         xs -= np.repeat(shift[r0:r1], cnt)
         if one_form:
             vals = a * xs
@@ -613,7 +641,7 @@ def _half_lattice_values(
         if offsets is not None:
             tail += offsets[k]
         vals += np.repeat(tail, cnt)
-        yield vals
+        yield vals, k, cnt
 
 
 def value_counts(f: QuadForm, limit: int) -> np.ndarray:
@@ -621,7 +649,7 @@ def value_counts(f: QuadForm, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be positive")
     counts = np.zeros(limit + 1, dtype=np.int64)
-    for vals in _half_lattice_values([tuple(f)], limit):
+    for vals, _, _ in _half_lattice_values([tuple(f)], limit):
         np.add.at(counts, vals, 2)  # (x, y) and (-x, -y)
     return counts
 
@@ -631,6 +659,6 @@ def represented_mask(f: QuadForm, limit: int) -> np.ndarray:
     if limit < 1:
         raise ValueError("limit must be positive")
     mask = np.zeros(limit + 1, dtype=bool)
-    for vals in _half_lattice_values([tuple(f)], limit):
+    for vals, _, _ in _half_lattice_values([tuple(f)], limit):
         mask[vals] = True
     return mask

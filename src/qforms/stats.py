@@ -11,6 +11,7 @@ the shape x^2 + n.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -138,13 +139,15 @@ def _fixed_primes(f: QuadForm, limit: int, flags: np.ndarray) -> list[int]:
 def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
     """pi(X; q, C) for every class C: primes p <= X represented by C.
 
-    One class of each pair {C, C^-1} (FormClassGroup.pairs) is counted for
-    both.  Primes p >= 5 are counted by gathering sieve.flags, read-only and
-    shared by every call, at the form's values on the points of its half
-    lattice with gcd(f(x, y), 6) = 1 (no value is even or a multiple of 3).
-    A prime p lies on w(q)/2 = u half-lattice points per ideal of norm p in
-    C: one ideal if p ramifies; for a split p, one in a non-ambiguous class
-    but two in an ambiguous one.  An ambiguous class walks only its wedge
+    The one-group case of _pi_repr_block, which counts the groups of a block
+    of discriminants in one pass of the lattice kernel.  One class of each
+    pair {C, C^-1} (FormClassGroup.pairs) is counted for both.  Primes
+    p >= 5 are counted by gathering sieve.flags, read-only and shared by
+    every call, at the form's values on the points of its half lattice with
+    gcd(f(x, y), 6) = 1 (no value is even or a multiple of 3).  A prime p
+    lies on w(q)/2 = u half-lattice points per ideal of norm p in C: one
+    ideal if p ramifies; for a split p, one in a non-ambiguous class but two
+    in an ambiguous one.  An ambiguous class walks only its wedge
     (forms._wedge_rows): its half lattice holds 2 hits + F points, F the
     primes 5 <= p <= X among its two fixed-line values, which must be the
     ramified primes ram_C it represents (IdentityViolation otherwise).  So
@@ -155,33 +158,64 @@ def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarr
     F = ram_C = 0: the fixed values are (1, 3) and (1, 1), and no ramified
     prime is >= 5.  The primes 2 and 3 are checked by representation_count.
     """
+    return _pi_repr_block(X, [group], sieve)[0]
+
+
+def _prime_hits(batch: list[QuadForm], limit: int, flags: np.ndarray) -> np.ndarray:
+    """Points of each form's half lattice, or of its wedge if it is ambiguous,
+    whose value is a prime p >= 5 up to limit: all forms in one kernel pass.
+
+    A chunk of one form adds its hits to that form by count_nonzero; a chunk
+    of several sums its hits per sub-row (np.add.reduceat over the sub-row
+    starts; a sub-row holds fewer than 2^26 points under the kernel's 2^52
+    guard, so uint32 is exact), then per form.
+    """
+    hits = np.zeros(len(batch), dtype=np.int64)
+    for vals, k, cnt in _half_lattice_values(
+        [tuple(f) for f in batch], limit, _MODULUS, wedge=[f.is_ambiguous for f in batch]
+    ):
+        hit = flags[vals]
+        if k[0] == k[-1]:
+            hits[k[0]] += np.count_nonzero(hit)
+        else:
+            np.add.at(hits, k, np.add.reduceat(hit, np.cumsum(cnt) - cnt, dtype=np.uint32))
+    return hits
+
+
+def _pi_repr_block(
+    X: float, groups: list[FormClassGroup], sieve: SieveTables
+) -> list[np.ndarray]:
+    """pi_repr_all of each group, the pair forms of all of them in one kernel
+    pass (_prime_hits); the checks stay per form."""
     if X > sieve.limit:
         raise ValueError("X beyond sieve limit")
     limit = int(X)
     if limit < 2:
-        return np.zeros(group.h, dtype=np.int64)
-    u = w_units(group.q) // 2
-    ramified = [p for p, _ in arith.factorize(group.q.abs_q) if 5 <= p <= limit]
-    reps, pair = group.pairs
-    counts = []
-    for f in (group.classes[i] for i in reps):
-        ambiguous = f.is_ambiguous
-        hits = sum(
-            int(np.count_nonzero(sieve.flags[vals]))
-            for vals in _half_lattice_values([tuple(f)], limit, _MODULUS, wedge=ambiguous)
-        )
-        primes, rem = divmod(hits, u)
-        if rem:
-            raise IdentityViolation(f"prime count of {tuple(f)} is not a whole number of ideals")
-        if ambiguous:
-            ram = sum(1 for p in ramified if representation_count(f, p) > 0)
-            if len(_fixed_primes(f, limit, sieve.flags)) != ram:
+        return [np.zeros(g.h, dtype=np.int64) for g in groups]
+    per_group = [[g.classes[i] for i in g.pairs[0]] for g in groups]
+    hits = _prime_hits([f for fs in per_group for f in fs], limit, sieve.flags)
+    form_hits = iter(hits.tolist())
+    out = []
+    for group, fs in zip(groups, per_group):
+        u = w_units(group.q) // 2
+        ramified = [p for p, _ in arith.factorize(group.q.abs_q) if 5 <= p <= limit]
+        counts = []
+        for f in fs:
+            primes, rem = divmod(next(form_hits), u)
+            if rem:
                 raise IdentityViolation(
-                    f"fixed-line primes of {tuple(f)} are not its ramified primes"
+                    f"prime count of {tuple(f)} is not a whole number of ideals"
                 )
-            primes += ram
-        counts.append(primes + len(_small_primes_represented(f, limit)))
-    return np.array(counts, dtype=np.int64)[pair]
+            if f.is_ambiguous:
+                ram = sum(1 for p in ramified if representation_count(f, p) > 0)
+                if len(_fixed_primes(f, limit, sieve.flags)) != ram:
+                    raise IdentityViolation(
+                        f"fixed-line primes of {tuple(f)} are not its ramified primes"
+                    )
+                primes += ram
+            counts.append(primes + len(_small_primes_represented(f, limit)))
+        out.append(np.array(counts, dtype=np.int64)[group.pairs[1]])
+    return out
 
 
 def psi_k(Y: float, group: FormClassGroup, c: int, k: int, table: WTable) -> float:
@@ -352,6 +386,31 @@ def is_exceptional(
     return math.sqrt(q.abs_q) / math.log(q.abs_q) > cfg.c3 * group.h
 
 
+# lattice rows per block of consecutive discriminants that a scan counts in
+# one kernel pass (about four q of the Q = 200 family at X = 1e6); a block's
+# row arrays take O(_BLOCK_ROWS M) memory beside the kernel's chunks
+_BLOCK_ROWS = 1 << 12
+
+
+def _blocks(qs: list[Discriminant], limit: int):
+    """The groups of qs in blocks of consecutive q, cut before the q whose
+    half-lattice rows up to limit would take a block past _BLOCK_ROWS; a q
+    with more rows than that is a block of its own."""
+    block, rows = [], 0
+    for q in qs:
+        group = class_group(q)
+        reps, _ = group.pairs
+        # the rows of forms._half_rows, known before the kernel builds them
+        more = sum(math.isqrt(4 * group.classes[i].a * limit // q.abs_q) + 1 for i in reps)
+        if block and rows + more > _BLOCK_ROWS:
+            yield block
+            block, rows = [], 0
+        block.append(group)
+        rows += more
+    if block:
+        yield block
+
+
 def _scan(
     statistic: str,
     Q: float,
@@ -367,25 +426,36 @@ def _scan(
     qs = arith.fundamental_discriminants(Q)
     li_x = li(float(X), cfg.li_tol)
 
-    def work(q: Discriminant) -> QRecord:
-        group = class_group(q)
-        pis = pi_repr_all(X, group, sieve)
+    def record(group: FormClassGroup, pis: np.ndarray) -> QRecord:
         devs = [
             abs(float(pis[i]) - li_x / (group.e[i] * group.h))
             for i in range(group.h)
         ]
-        exc = is_exceptional(q, group, cfg)
+        exc = is_exceptional(group.q, group, cfg)
         if statistic == "bv":
             best = max(range(group.h), key=lambda i: devs[i])
-            return QRecord(q.q, group.h, group.e[best], devs[best], exc)
+            return QRecord(group.q.q, group.h, group.e[best], devs[best], exc)
         value = math.fsum(d * d for d in devs)
-        return QRecord(q.q, group.h, max(group.e), value, exc)
+        return QRecord(group.q.q, group.h, max(group.e), value, exc)
 
+    def work(block: list[FormClassGroup]) -> list[QRecord]:
+        return list(map(record, block, _pi_repr_block(X, block, sieve)))
+
+    blocks = _blocks(qs, int(X))
     if threads > 1 and len(qs) > 1:
+        rows = []
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(work, qs))
+            # a few blocks queued per thread: submitting every block at once
+            # would hold the groups of the whole family
+            pending = deque()
+            for block in blocks:
+                pending.append(pool.submit(work, block))
+                if len(pending) > 2 * threads:
+                    rows += pending.popleft().result()
+            for done in pending:
+                rows += done.result()
     else:
-        rows = [work(q) for q in qs]
+        rows = [r for block in blocks for r in work(block)]
     # rows arrive in ascending |q|; compensated summation keeps parallel
     # runs bit-identical
     aggregate = math.fsum(r.value for r in rows)
@@ -486,8 +556,8 @@ def least_primes(
             if flags is None:
                 flags = arith.prime_flags(bound)
             ambiguous = f.is_ambiguous
-            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS, wedge=ambiguous)
-            chunks = (vals[flags[vals]] for vals in lattice)
+            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS, wedge=[ambiguous])
+            chunks = (vals[flags[vals]] for vals, _, _ in lattice)
             least = [int(hits.min()) for hits in chunks if hits.size]
             if ambiguous:
                 least += _fixed_primes(f, bound, flags)

@@ -4,6 +4,7 @@ import math
 import random
 import signal
 import tracemalloc
+import unittest.mock
 from collections import deque
 
 import numpy as np
@@ -508,7 +509,7 @@ def _kernel_matches_brute(f: QuadForm, limit: int, M: int = 6) -> bool:
     """The whole kernel (M = 1) and its sub-rows prime to M, against the box."""
     counts = _lattice_brute(f, limit)
     coprime = np.zeros(limit + 1, dtype=np.int64)
-    for vals in forms._half_lattice_values([tuple(f)], limit, M):
+    for vals, _, _ in forms._half_lattice_values([tuple(f)], limit, M):
         np.add.at(coprime, vals, 2)
     return (
         np.array_equal(value_counts(f, limit), counts)
@@ -593,7 +594,7 @@ def _batch_counts(abc, limit: int, M: int = 1) -> np.ndarray:
     width = limit + 1
     counts = np.zeros(len(abc) * width, dtype=np.int64)
     offsets = np.arange(len(abc), dtype=np.int64) * width
-    for vals in forms._half_lattice_values(abc, limit, M, offsets):
+    for vals, _, _ in forms._half_lattice_values(abc, limit, M, offsets):
         np.add.at(counts, vals, 1)
     return counts.reshape(len(abc), width)
 
@@ -679,7 +680,7 @@ def _fixed_counts_brute(f: QuadForm, limit: int, M: int) -> np.ndarray:
 
 def _wedge_counts(f: QuadForm, limit: int, M: int) -> np.ndarray:
     counts = np.zeros(limit + 1, dtype=np.int64)
-    for vals in forms._half_lattice_values([tuple(f)], limit, M, wedge=True):
+    for vals, _, _ in forms._half_lattice_values([tuple(f)], limit, M, wedge=[True]):
         np.add.at(counts, vals, 1)
     return counts
 
@@ -728,7 +729,7 @@ def test_wedge_is_half_of_the_half_lattice(f, limit, M):
 
 def test_wedge_refuses_a_form_without_the_automorphism():
     with pytest.raises(ValueError, match="b = 0, b = a or a = c"):
-        next(forms._half_lattice_values([(1, 1, 1), (2, 1, 3)], 100, wedge=True))
+        next(forms._half_lattice_values([(1, 1, 1), (2, 1, 3)], 100, wedge=[True, True]))
 
 
 def test_wedge_fires_on_planted_faults(monkeypatch, wedge_faults):
@@ -738,3 +739,49 @@ def test_wedge_fires_on_planted_faults(monkeypatch, wedge_faults):
         with monkeypatch.context() as patch:
             patch.setattr(forms, "_wedge_rows", fault)
             assert not all(_wedge_splits_half_lattice(*case) for case in cases), fault
+
+
+def _counts_by_chunk_form(abc, limit: int, M: int, wedge) -> np.ndarray:
+    """(F, limit + 1) counts of a batch, each value put in the row of the form
+    that its chunk gives for its sub-row."""
+    counts = np.zeros((len(abc), limit + 1), dtype=np.int64)
+    for vals, k, cnt in forms._half_lattice_values(abc, limit, M, wedge=wedge):
+        np.add.at(counts, (np.repeat(k, cnt), vals), 1)
+    return counts
+
+
+@given(
+    fs=st.lists(
+        st.one_of(
+            st.sampled_from(_EDGE_FORMS), reduced_primitive_forms(), reduced_ambiguous_forms()
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    limit=st.integers(min_value=1, max_value=3000),
+    M=st.sampled_from([1, 6]),
+    chunk=st.sampled_from([64, forms._CHUNK]),
+)
+def test_batched_kernel_walks_the_wedge_of_each_flagged_form(fs, limit, M, chunk):
+    # the ambiguous forms of a mixed batch on their wedges, the others on
+    # their half lattices, every sub-row told apart by its chunk's form
+    wedge = [f.is_ambiguous for f in fs]
+    with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+        counts = _counts_by_chunk_form([tuple(f) for f in fs], limit, M, wedge)
+    for k, f in enumerate(fs):
+        half = _half_counts_brute(f, limit, M)
+        if f.is_ambiguous:
+            half = (half - _fixed_counts_brute(f, limit, M)) // 2
+        assert np.array_equal(counts[k], half), (k, tuple(f), limit, M)
+
+
+def test_wedge_is_asked_form_by_form():
+    batch = [(1, 1, 1), (2, 1, 3)]
+    with pytest.raises(ValueError, match="b = 0, b = a or a = c"):
+        next(forms._half_lattice_values(batch, 100, wedge=[False, True]))
+    # (2, 1, 3) unflagged: the full half lattice, (1, 1, 1) on its wedge
+    counts = _counts_by_chunk_form(batch, 100, 1, [True, False])
+    assert np.array_equal(counts[1], _half_counts_brute(QuadForm(2, 1, 3), 100, 1))
+    f = QuadForm(1, 1, 1)
+    wedge = (_half_counts_brute(f, 100, 1) - _fixed_counts_brute(f, 100, 1)) // 2
+    assert np.array_equal(counts[0], wedge)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from qforms import arith, forms, stats
 from qforms.arith import classify_discriminant, fundamental_discriminants, kronecker
-from qforms.characters import build_w_table, characters
+from qforms.characters import build_w_table, characters, w_units
 from qforms.forms import class_group, representation_count, represented_mask
 from qforms.stats import (
     LeastPrimeResult,
@@ -198,6 +198,73 @@ def test_average_identity_fires_on_planted_wedge_faults(sieve_1m, monkeypatch, w
             patch.setattr(forms, "_wedge_rows", fault)
             assert not _identity_holds(groups, xs, sieve_1m)
             assert not _pi_matches_mask(groups, xs, sieve_1m)
+
+
+def _block_identity_holds(groups, xs, sieve, monkeypatch):
+    """Whether average_identity_gap closes for every group at every X, with
+    pi_repr_all reading each group's counts from one _pi_repr_block over all
+    the groups; an ArithmeticError from its checks is a failure."""
+    try:
+        for X in xs:
+            counts = dict(zip(map(id, groups), stats._pi_repr_block(X, groups, sieve)))
+            with monkeypatch.context() as patch:
+                patch.setattr(stats, "pi_repr_all", lambda X, group, sieve: counts[id(group)])
+                gaps = [stats.average_identity_gap(g, X, sieve) for g in groups]
+            if any(lhs != rhs for lhs, rhs in gaps):
+                return False
+        return True
+    except ArithmeticError:
+        return False
+
+
+def test_oracles_fire_on_a_form_boundary_off_by_one(sieve_1m, monkeypatch):
+    # one block of the 91 groups of |q| <= 300: its chunks hold forms of
+    # several q, and each group's own chunk holds all of its forms
+    groups = [g for g in _groups_3000() if abs(int(g.q)) <= 300]
+    xs = (1000,)
+    assert _pi_matches_mask(groups, xs, sieve_1m)
+    assert _block_identity_holds(groups, xs, sieve_1m, monkeypatch)
+    real = stats._half_lattice_values
+
+    def boundary_off_by_one(*args, **kwargs):
+        # in each chunk of several forms, the second form's first sub-row
+        # starts one point late
+        for vals, k, cnt in real(*args, **kwargs):
+            if k[0] != k[-1]:
+                cnt = cnt.copy()
+                last = np.flatnonzero(k[1:] != k[:-1])[0]
+                cnt[last] += 1
+                cnt[last + 1] -= 1
+            yield vals, k, cnt
+
+    monkeypatch.setattr(stats, "_half_lattice_values", boundary_off_by_one)
+    assert not _pi_matches_mask(groups, xs, sieve_1m)
+    assert not _block_identity_holds(groups, xs, sieve_1m, monkeypatch)
+
+
+@given(
+    picks=st.lists(
+        st.tuples(st.integers(min_value=0, max_value=10**6), st.integers(min_value=0)),
+        min_size=1,
+        max_size=12,
+    ),
+    limit=st.integers(min_value=1, max_value=20_000),
+    chunk=st.sampled_from([64, forms._CHUNK]),
+)
+def test_prime_hits_of_mixed_batches_match_masks(sieve_1m, picks, limit, chunk):
+    # reduced forms of several discriminants, ambiguous (walked on the wedge)
+    # and not, in one pass; a split prime p >= 5 that a form represents lies
+    # on u = w(q)/2 points of its half lattice if the form is not ambiguous
+    # and of its wedge if it is, and a ramified one on none
+    groups = _groups_3000()
+    picked = [(g := groups[i % len(groups)], g.classes[j % g.h]) for i, j in picks]
+    assert all(f.is_reduced for _, f in picked)
+    with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+        hits = stats._prime_hits([f for _, f in picked], limit, sieve_1m.flags)
+    ps = sieve_1m.primes[(sieve_1m.primes >= 5) & (sieve_1m.primes <= limit)]
+    for (g, f), got in zip(picked, hits.tolist()):
+        split = represented_mask(f, max(limit, 1))[ps] & (int(g.q) % ps != 0)
+        assert got == w_units(g.q) // 2 * np.count_nonzero(split), (int(g.q), tuple(f), limit)
 
 
 def test_pi_repr_all_checks_fixed_line_primes_against_ramified(
@@ -520,6 +587,22 @@ def test_scan_threads_do_not_change_values(sieve_10k):
     a = bv_statistic(80, 5000, sieve_10k, threads=1)
     b = bv_statistic(80, 5000, sieve_10k, threads=4)
     assert a.to_json() == b.to_json()
+
+
+@pytest.mark.parametrize("statistic", [bv_statistic, bdh_statistic])
+def test_scan_rows_do_not_depend_on_blocks_chunks_or_threads(sieve_10k, monkeypatch, statistic):
+    # blocks of one q and of the whole family, with chunks of 64 points that
+    # hold several forms, against the default blocks and chunks
+    Q, X = 300, 10_000
+    qs = fundamental_discriminants(Q)
+    expected = statistic(Q, X, sieve_10k).to_json()
+    assert 1 < len(list(stats._blocks(qs, X))) < len(qs)
+    monkeypatch.setattr(forms, "_CHUNK", 64)
+    for rows, blocks in ((1, len(qs)), (1 << 62, 1)):
+        monkeypatch.setattr(stats, "_BLOCK_ROWS", rows)
+        assert len(list(stats._blocks(qs, X))) == blocks
+        for threads in (1, 2):
+            assert statistic(Q, X, sieve_10k, threads=threads).to_json() == expected, (rows, threads)
 
 
 def test_report_serialization_roundtrip(sieve_10k):
