@@ -3,9 +3,9 @@
 Kronecker symbols, trial-division factorisation, classification and
 enumeration of negative fundamental discriminants, one sieve of
 Eratosthenes (a byte per entry, read-only once built and shared by the
-scans), the prime-power support of the von Mangoldt function, and the
-Dirichlet convolution of the identity checks.  Everything operates on
-plain Python integers or numpy arrays; all quantities fit in signed 64-bit
+scans), the prime-power support of the von Mangoldt function, the Dirichlet
+convolution of the identity checks and the block cutter runs.  All of it
+works on plain Python integers or numpy arrays, which fit in signed 64-bit
 integers at the scales this package targets (|q| <= 1e6, n <= 1e8).
 """
 
@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -36,6 +37,7 @@ __all__ = [
     "build_sieve",
     "prime_flags",
     "prime_power_table",
+    "runs",
 ]
 
 
@@ -356,3 +358,23 @@ def build_sieve(limit: int) -> SieveTables:
     flags = prime_flags(limit)
     flags.flags.writeable = False
     return SieveTables(flags)
+
+
+# ---------------------------------------------------------------------------
+# runs
+
+
+def runs(items: Iterable, cost: Callable[..., int], budget: int) -> Iterator[list]:
+    """items in runs of consecutive items, each cut before the item whose
+    cost would take the run's total past budget; an item that costs more
+    than budget is a run of its own."""
+    run, total = [], 0
+    for item in items:
+        more = cost(item)
+        if run and total + more > budget:
+            yield run
+            run, total = [], 0
+        run.append(item)
+        total += more
+    if run:
+        yield run

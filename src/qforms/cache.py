@@ -137,17 +137,20 @@ def load_entry(path: str | Path) -> tuple[FormClassGroup, WTable]:
 
 
 def load_usable(
-    path: Path, n_limit: int, warn=None
+    q: Discriminant, cache_dir: str | Path, n_limit: int, warn=None
 ) -> tuple[FormClassGroup, WTable] | None:
-    """The blob at path if it loads and holds weights up to n_limit, else None.
+    """q's blob in cache_dir if it loads, is q's and holds weights up to n_limit.
 
-    A blob that exists but fails to load is reported to `warn` (if given)
-    as rebuilt, since every caller rebuilds what this returns None for.
+    A blob that exists but fails to load or is another q's is reported to
+    `warn` (if given) as rebuilt: every caller rebuilds what this rejects.
     """
+    path = cache_path(cache_dir, q)
     if not path.exists():
         return None
     try:
         group, table = load_entry(path)
+        if group.q.q != q.q:
+            raise CacheError(f"blob of q={group.q.q}")
     except CacheError as exc:
         if warn:
             warn(f"cache entry {path.name} rebuilt ({exc})")
@@ -161,11 +164,10 @@ def load_or_build(
     """Fetch (group, table) from cache if usable, else build them in memory.
 
     Nothing is written here: `qforms tabulate` is the cache's writer.  A
-    corrupt or outdated blob is rebuilt; `warn` (if given) receives one
-    message per corrupt blob.
+    corrupt or outdated blob, or another q's, is rebuilt; `warn` (if given)
+    receives one message per corrupt blob.
     """
-    entry = load_usable(cache_path(cache_dir, q), n_limit, warn)
-    if entry is not None:
+    if entry := load_usable(q, cache_dir, n_limit, warn):
         return entry
     group = class_group(q)
     return group, build_w_table(group, n_limit)

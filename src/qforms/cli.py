@@ -376,13 +376,12 @@ def _cmd_tabulate(args) -> int:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
     written = skipped = 0
     for q in fundamental_discriminants(args.Q):
-        path = cache.cache_path(cache_dir, q)
-        if cache.load_usable(path, args.N, _warn) is not None:
+        if cache.load_usable(q, cache_dir, args.N, _warn) is not None:
             skipped += 1
             continue
         group = class_group(q)
         with _writing("--cache", cache_dir):
-            cache.save_entry(path, group, build_w_table(group, args.N))
+            cache.save_entry(cache.cache_path(cache_dir, q), group, build_w_table(group, args.N))
         written += 1
     _emit(args, f"tabulated {written} blob(s), reused {skipped}\n")
     return 0

@@ -17,9 +17,10 @@ vectorised integer square root, and emits the values in numpy chunks of
 about _CHUNK points, so memory stays bounded at any limit.  Each chunk says
 which form each of its sub-rows belongs to; where the values alone must
 tell, an offset per form keeps them apart.  A weight table is one such pass
-over a form of every inverse pair of a class group, and the prime counts of
-stats one pass over those of a block of discriminants; value_counts,
-represented_mask and least_primes pass one form.  Given a modulus M the
+over a form of every inverse pair of a class group, the prime counts of
+stats one pass over those of a block of discriminants, and a least-prime
+search one pass per bound and run of its pending forms; value_counts and
+represented_mask pass one form.  Given a modulus M the
 kernel visits only the points whose value is prime to M: f(x, y) mod M
 depends on x and y mod M alone, so each row splits into sub-rows of stride
 M, one for each residue of x mod M with gcd(f(x, y), M) = 1.  M = 1 is the
@@ -454,6 +455,11 @@ def classes_representing(group: FormClassGroup, n: int) -> frozenset[int]:
     )
 
 
+def _row_count(a: int, b: int, c: int, limit: int) -> int:
+    """Rows y = 0, 1, ... of the half lattice of (a, b, c) up to limit (_half_rows)."""
+    return math.isqrt(4 * a * limit // (4 * a * c - b * b)) + 1
+
+
 def _half_rows(
     abc: np.ndarray, limit: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -475,7 +481,7 @@ def _half_rows(
     for k, (a, b, c) in enumerate(forms):
         top = 4 * a * limit
         abs_d = min(4 * a * c - b * b, top + 1)  # past top only y = 0 is left
-        rows = math.isqrt(top // abs_d) + 1
+        rows = _row_count(a, b, c, limit)
         consts.append((k, total, top, abs_d, b, 2 * a, rows))
         total += rows
     cols = np.array(consts, dtype=np.int64)

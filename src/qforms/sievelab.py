@@ -311,20 +311,15 @@ _Block = list[tuple[FormClassGroup, list[tuple[int, int, np.ndarray]]]]
 
 
 def _blocks(Q: float, mn_limit: int, N: int) -> Iterator[_Block]:
-    """The scan family's groups, each with its genus characters, in runs of
-    consecutive q whose stacks fit _BLOCK_BYTES."""
-    block, size = [], 0
-    for q in arith.fundamental_discriminants(Q):
-        group = class_group(q)
-        chars = genus_characters(group)
-        cost = 8 * group.h * (mn_limit + 1 + group.h) + 2 * len(chars) * (N + 1)
-        if block and size + cost > _BLOCK_BYTES:
-            yield block
-            block, size = [], 0
-        block.append((group, chars))
-        size += cost
-    if block:
-        yield block
+    """The scan family's groups, each with its genus characters, in runs
+    (arith.runs) of consecutive q whose stacks fit _BLOCK_BYTES."""
+
+    def size(entry) -> int:
+        group, chars = entry
+        return 8 * group.h * (mn_limit + 1 + group.h) + 2 * len(chars) * (N + 1)
+
+    groups = map(class_group, arith.fundamental_discriminants(Q))
+    return arith.runs(((g, genus_characters(g)) for g in groups), size, _BLOCK_BYTES)
 
 
 def _tables(block: _Block, limit: int, heads: np.ndarray) -> Iterator[np.ndarray]:

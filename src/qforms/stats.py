@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -26,6 +26,7 @@ from .forms import (
     QuadForm,
     _fixed_line_values,
     _half_lattice_values,
+    _row_count,
     class_group,
     representation_count,
 )
@@ -131,11 +132,6 @@ def _small_primes_represented(f: QuadForm, limit: int) -> list[int]:
     return [p for p in _SMALL_PRIMES if p <= limit and representation_count(f, p) > 0]
 
 
-def _fixed_primes(f: QuadForm, limit: int, flags: np.ndarray) -> list[int]:
-    """The primes 5 <= p <= limit among an ambiguous form's fixed-line values."""
-    return [p for p in _fixed_line_values(*f) if 5 <= p <= limit and flags[p]]
-
-
 def pi_repr_all(X: float, group: FormClassGroup, sieve: SieveTables) -> np.ndarray:
     """pi(X; q, C) for every class C: primes p <= X represented by C.
 
@@ -208,7 +204,8 @@ def _pi_repr_block(
                 )
             if f.is_ambiguous:
                 ram = sum(1 for p in ramified if representation_count(f, p) > 0)
-                if len(_fixed_primes(f, limit, sieve.flags)) != ram:
+                fixed = [p for p in _fixed_line_values(*f) if 5 <= p <= limit and sieve.flags[p]]
+                if len(fixed) != ram:
                     raise IdentityViolation(
                         f"fixed-line primes of {tuple(f)} are not its ramified primes"
                     )
@@ -386,29 +383,21 @@ def is_exceptional(
     return math.sqrt(q.abs_q) / math.log(q.abs_q) > cfg.c3 * group.h
 
 
-# lattice rows per block of consecutive discriminants that a scan counts in
-# one kernel pass (about four q of the Q = 200 family at X = 1e6); a block's
-# row arrays take O(_BLOCK_ROWS M) memory beside the kernel's chunks
+# lattice rows per kernel pass: a scan's block of consecutive q (about four
+# of the Q = 200 family at X = 1e6), or a least-prime search's run of forms;
+# a block's row arrays take O(_BLOCK_ROWS M) memory beside the kernel's chunks
 _BLOCK_ROWS = 1 << 12
 
 
 def _blocks(qs: list[Discriminant], limit: int):
-    """The groups of qs in blocks of consecutive q, cut before the q whose
-    half-lattice rows up to limit would take a block past _BLOCK_ROWS; a q
-    with more rows than that is a block of its own."""
-    block, rows = [], 0
-    for q in qs:
-        group = class_group(q)
-        reps, _ = group.pairs
-        # the rows of forms._half_rows, known before the kernel builds them
-        more = sum(math.isqrt(4 * group.classes[i].a * limit // q.abs_q) + 1 for i in reps)
-        if block and rows + more > _BLOCK_ROWS:
-            yield block
-            block, rows = [], 0
-        block.append(group)
-        rows += more
-    if block:
-        yield block
+    """The groups of qs in runs (arith.runs) of consecutive q whose pair
+    forms' half-lattice rows up to limit (forms._row_count, known before
+    the kernel builds them) fit _BLOCK_ROWS; a q past it is a block alone."""
+
+    def rows(g: FormClassGroup) -> int:
+        return sum(_row_count(*g.classes[i], limit) for i in g.pairs[0])
+
+    return arith.runs(map(class_group, qs), rows, _BLOCK_ROWS)
 
 
 def _scan(
@@ -523,53 +512,66 @@ class LeastPrimeResult:
     searched_to: int
 
 
+def _least_values(abc: np.ndarray, limit: int, flags: np.ndarray, wedge: bool) -> np.ndarray:
+    """The least prime up to limit on the half lattice, or wedge, of each form
+    of the (F, 3) batch abc, 0 if none: a kernel pass (M = 1) per run of
+    _BLOCK_ROWS rows, and per chunk one np.minimum.reduceat from each form's
+    first value (its sub-rows are consecutive)."""
+    none = limit + 1
+    least = np.full(len(abc), none, dtype=np.int64)
+    start = 0
+    for run in arith.runs(abc.tolist(), lambda f: _row_count(*f, limit), _BLOCK_ROWS):
+        part, start = least[start : start + len(run)], start + len(run)
+        for vals, k, cnt in _half_lattice_values(run, limit, wedge=[wedge] * len(run)):
+            first = np.flatnonzero(np.concatenate(([True], k[1:] != k[:-1])))
+            at = (np.cumsum(cnt) - cnt)[first]
+            mins = np.minimum.reduceat(np.where(flags[vals], vals, none), at)
+            part[k[first]] = np.minimum(part[k[first]], mins)
+    least[least == none] = 0
+    return least
+
+
+def _search(abc: np.ndarray, first: int, cap: int, wedge: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(least, searched_to): _least_values of each reduced form of abc, 0
+    where its search hit cap, and the bound at which the search stopped.
+    The bounds are first, 8 first, ... up to cap; at each, one prime flag
+    table and one _least_values pass serve every pending form that can
+    reach it (its values are at least a, and at least c on a wedge)."""
+    floor = abc[:, 2 if wedge else 0]
+    least, searched_to = np.zeros((2, len(abc)), dtype=np.int64)
+    pending, bound = np.arange(len(abc)), first
+    while pending.size:
+        bound = min(bound, cap)
+        ready = pending[floor[pending] <= bound]
+        if ready.size:
+            least[ready] = _least_values(abc[ready], bound, arith.prime_flags(bound), wedge)
+        searched_to[pending] = bound
+        pending = pending[least[pending] == 0] if bound < cap else pending[:0]
+        bound <<= 3
+    return least, searched_to
+
+
 def least_primes(
     group: FormClassGroup, indices: list[int], cap: int = DEFAULT_SEARCH_CAP
 ) -> list[LeastPrimeResult]:
     """Smallest prime represented by each class in indices, by ascending scan.
 
     One class of each pair {C, C^-1} (FormClassGroup.pairs) is searched, and
-    its answer serves both.  Every search steps through the same bounds, so
-    one prime flag table per bound serves all the classes still unresolved
-    there.  Within a bound, 2 and 3 are checked one by one and the primes
-    p >= 5 gathered as in pi_repr_all: an ambiguous class (the principal one
-    among them) on its wedge plus its fixed-line primes.  The scan never
-    passes cap; an unsuccessful search reports status "unresolved" rather
-    than a wrong answer.
+    its answer serves both: one _search over their half lattices from the
+    bound 2^10.  The scan never passes cap; an unsuccessful search reports
+    status "unresolved" rather than a wrong answer.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     reps, pair = group.pairs
-    results: dict[int, LeastPrimeResult] = {}
-    pending = list(dict.fromkeys(reps[pair[c]] for c in indices))
-    bound = 1 << 10
-    while pending:
-        bound = min(bound, cap)
-        flags = None
-        unresolved = []
-        for c in pending:
-            f = group.classes[c]
-            small = _small_primes_represented(f, bound)
-            if small:
-                results[c] = LeastPrimeResult(c, small[0], "found", bound)
-                continue
-            if flags is None:
-                flags = arith.prime_flags(bound)
-            ambiguous = f.is_ambiguous
-            lattice = _half_lattice_values([tuple(f)], bound, _MODULUS, wedge=[ambiguous])
-            chunks = (vals[flags[vals]] for vals, _, _ in lattice)
-            least = [int(hits.min()) for hits in chunks if hits.size]
-            if ambiguous:
-                least += _fixed_primes(f, bound, flags)
-            if least:
-                results[c] = LeastPrimeResult(c, min(least), "found", bound)
-            elif bound >= cap:
-                results[c] = LeastPrimeResult(c, None, "unresolved", bound)
-            else:
-                unresolved.append(c)
-        pending = unresolved
-        bound <<= 3
-    return [replace(results[reps[pair[c]]], class_index=c) for c in indices]
+    searched = list(dict.fromkeys(pair[c] for c in indices))
+    abc = np.array([tuple(group.classes[reps[k]]) for k in searched], dtype=np.int64)
+    least, searched_to = _search(abc.reshape(-1, 3), 1 << 10, cap, wedge=False)
+    found = {
+        k: (p or None, "found" if p else "unresolved", s)
+        for k, p, s in zip(searched, least.tolist(), searched_to.tolist())
+    }
+    return [LeastPrimeResult(c, *found[pair[c]]) for c in indices]
 
 
 @dataclass(frozen=True)
@@ -590,51 +592,26 @@ def least_prime_x2ny2(n: int, cap: int = DEFAULT_SEARCH_CAP) -> X2NY2Result:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _least_primes_x2ny2([n], cap)[0]
+    p, x, y = (int(v[0]) for v in _least_primes_x2ny2(np.array([n]), cap))
+    return X2NY2Result(n, *((p, x, y, "found") if p else (None, None, None, "unresolved")))
 
 
-def _least_primes_x2ny2(ns: list[int], cap: int) -> list[X2NY2Result]:
-    """least_prime_x2ny2 for every n in ns, one prime flag table per bound.
-
-    Every search steps through the same bounds 64, 512, ... (at most cap), as
-    least_primes does, so one table serves all the n still open there; an n
-    >= bound has no value x^2 + n y^2 <= bound and waits for a larger one.
-    The least prime, and the least y of its representations, do not depend
-    on the bound at which they are found.
-    """
-    results: dict[int, X2NY2Result] = {}
-    pending = list(ns)
-    bound = 64
-    while pending:
-        bound = min(bound, cap)
-        flags = None
-        unresolved = []
-        for n in pending:
-            best = None
-            if n < bound:
-                if flags is None:
-                    flags = arith.prime_flags(bound)
-                y = 1
-                while n * y * y < bound:
-                    base = n * y * y
-                    xs = np.arange(1, math.isqrt(bound - base) + 1, dtype=np.int64)
-                    vals = xs * xs + base
-                    hits = vals[flags[vals]]
-                    # rows ascend in y, so the first row that attains the
-                    # least prime holds its representation with the least y
-                    if hits.size and (best is None or hits[0] < best):
-                        best = int(hits[0])
-                        x_at, y_min = math.isqrt(best - base), y
-                    y += 1
-            if best is not None:
-                results[n] = X2NY2Result(n, best, x_at, y_min, "found")
-            elif bound >= cap:
-                results[n] = X2NY2Result(n, None, None, None, "unresolved")
-            else:
-                unresolved.append(n)
-        pending = unresolved
-        bound <<= 3
-    return [results[n] for n in ns]
+def _least_primes_x2ny2(ns: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(p, x, y_min) of least_prime_x2ny2 for each n of the array ns, 0 where
+    the search hit cap.  x, y >= 1 is exactly the wedge of (1, 0, n): p comes
+    from one _search over these forms from the bound 64, then y_min, the
+    least y with p - n y^2 a square (> 0 as y < y_min, and the root of a
+    square < 2^52 is exact), for every n at once, y = 1, 2, ... in turn."""
+    abc = np.stack([np.ones_like(ns), np.zeros_like(ns), ns], axis=1)
+    p, _ = _search(abc, 64, cap, wedge=True)
+    y_min = np.zeros_like(ns)
+    todo, y = np.flatnonzero(p), 1
+    while todo.size:
+        r = p[todo] - ns[todo] * y * y
+        hit = np.sqrt(r).astype(np.int64) ** 2 == r
+        y_min[todo[hit]] = y
+        todo, y = todo[~hit], y + 1
+    return p, np.sqrt(p - ns * y_min * y_min).astype(np.int64), y_min
 
 
 def scan_exceptional_x2ny2(
@@ -647,13 +624,11 @@ def scan_exceptional_x2ny2(
     """
     if max_n < 1:
         raise ValueError("max_n must be positive")
-    out = []
-    for res in _least_primes_x2ny2(list(range(1, max_n + 1)), cap):
-        if res.status != "found":
-            raise UnresolvedSearch(f"least prime search for n={res.n} hit cap {cap}")
-        if res.y_min >= 2:
-            out.append((res.n, res.prime, res.y_min))
-    return out
+    ns = np.arange(1, max_n + 1, dtype=np.int64)
+    p, _, y_min = _least_primes_x2ny2(ns, cap)
+    if not p.all():
+        raise UnresolvedSearch(f"least prime search for n={ns[p == 0][0]} hit cap {cap}")
+    return list(zip(*(v[y_min >= 2].tolist() for v in (ns, p, y_min))))
 
 
 def singular_series(n: int, prime_cutoff: int) -> float:

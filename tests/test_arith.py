@@ -317,3 +317,25 @@ def test_divisors_and_factorize():
     assert arith.divisors(1) == [1]
     assert arith.divisors(12) == [1, 2, 3, 4, 6, 12]
     assert arith.factorize(360) == [(2, 3), (3, 2), (5, 1)]
+
+
+# ---------------------------------------------------------------------------
+# runs
+
+
+def test_runs_cut_before_the_item_that_passes_the_budget():
+    cost = {"a": 3, "b": 4, "c": 9, "d": 2, "e": 6}.__getitem__
+    # b fits exactly (3 + 4 = 7); c costs more than the budget and is a run
+    # alone; d and e would pass it together
+    assert list(arith.runs("abcde", cost, 7)) == [["a", "b"], ["c"], ["d"], ["e"]]
+    assert list(arith.runs([], cost, 7)) == []
+    assert list(arith.runs(iter(["c", "c"]), cost, 7)) == [["c"], ["c"]]
+
+
+@given(st.lists(st.integers(0, 20)), st.integers(1, 30))
+def test_runs_concatenate_back_to_the_input(costs, budget):
+    items = list(enumerate(costs))
+    got = list(arith.runs(iter(items), lambda item: item[1], budget))
+    assert [item for run in got for item in run] == items
+    for run in got:
+        assert run and (len(run) == 1 or sum(c for _, c in run) <= budget)

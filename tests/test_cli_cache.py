@@ -701,6 +701,27 @@ def test_tabulate_rewrites_a_corrupt_blob(tmp_path, capsys):
     assert np.array_equal(table.w, build_w_table(class_group(q), 100).w)
 
 
+def test_a_blob_of_another_discriminant_is_rebuilt(tmp_path, capsys):
+    cache_dir = tmp_path / "cache"
+    family = fundamental_discriminants(40)
+    run_cli(capsys, "tabulate", "-Q", "40", "-N", "100", "--cache", str(cache_dir))
+    q = classify_discriminant(-23)
+    path = cache.cache_path(cache_dir, q)
+    fresh = path.read_bytes()
+    # a sound blob, but of q = -39 (h = 4) under the name of q = -23 (h = 3)
+    path.write_bytes(cache.cache_path(cache_dir, classify_discriminant(-39)).read_bytes())
+    warnings = []
+    group, table = cache.load_or_build(q, cache_dir, n_limit=100, warn=warnings.append)
+    assert group.q.q == -23 and group.h == 3 and table.q.q == -23
+    assert np.array_equal(table.w, build_w_table(class_group(q), 100).w)
+    assert len(warnings) == 1 and "23.qfgc" in warnings[0] and "q=-39" in warnings[0]
+    code, out, err = run_cli(capsys, "tabulate", "-Q", "40", "-N", "100", "--cache", str(cache_dir))
+    assert code == 0
+    assert out == f"tabulated 1 blob(s), reused {len(family) - 1}\n"
+    assert len(err.splitlines()) == 1 and err.startswith("warning:") and "23.qfgc" in err
+    assert path.read_bytes() == fresh
+
+
 def _blob_without_weights(group):
     """A checksum-valid blob of group's forms with N = 0 and no w, the
     layout that once held a class group alone."""

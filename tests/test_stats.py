@@ -777,6 +777,27 @@ def test_x2ny2_scan_reports_the_least_n_at_its_cap():
     assert least_prime_x2ny2(58, cap=60) == stats.X2NY2Result(58, 59, 1, 1, "found")
 
 
+def _least_x2ny2_brute(n, primes):
+    """(p, x, y_min) by a double loop: the primes in ascending order, and
+    for each the y >= 1 in ascending order with p - n y^2 a positive square."""
+    for p in primes:
+        for y in range(1, math.isqrt(p // n) + 1):
+            x = math.isqrt(p - n * y * y)
+            if x >= 1 and x * x == p - n * y * y:
+                return p, x, y
+    raise AssertionError(f"no prime x^2 + {n} y^2 below {primes[-1]}")
+
+
+def test_x2ny2_matches_a_brute_force_oracle():
+    # every n <= 2000 on the path of the scan, against an oracle that walks
+    # no lattice: a wedge that let x = 0 in would give n = 5 the prime
+    # 5 = 0^2 + 5 1^2
+    primes = np.flatnonzero(arith.prime_flags(20_000)).tolist()
+    ns = np.arange(1, 2001)
+    got = zip(*(v.tolist() for v in stats._least_primes_x2ny2(ns, stats.DEFAULT_SEARCH_CAP)))
+    assert list(got) == [_least_x2ny2_brute(n, primes) for n in ns.tolist()]
+
+
 def test_singular_series():
     assert singular_series(7, 2) == 1.0
     assert singular_series(1, 3) == pytest.approx(1.5, abs=0)
