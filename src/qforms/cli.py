@@ -6,7 +6,8 @@ cap are usage errors, and so is a `--delta-n` above N.  The caps:
 
     -Q, |q|           1e6  MAX_Q (-q must also be a negative fundamental
                            discriminant)
-    -X, --cap         1e8  MAX_X
+    -X, --cap, --n    1e8  MAX_X (the least prime x^2 + n y^2 is above n,
+                           and the search never passes --cap)
     -N, --mn-limit    1e7  MAX_TABLE_N
     --threads         64   MAX_THREADS
     --max-n           1e6  MAX_X2NY2_N
@@ -163,7 +164,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(run=_cmd_x2ny2)
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--max-n", type=_number(int, "max-n", cap=MAX_X2NY2_N))
-    mode.add_argument("--n", type=_number(int, "n"))
+    mode.add_argument("--n", type=_number(int, "n", cap=MAX_X))
     p.add_argument("--cap", type=_CAP, default=stats.DEFAULT_SEARCH_CAP)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)

@@ -1,10 +1,10 @@
 """Binary quadratic form arithmetic.
 
-Reduction with an SL(2,Z) witness, Dirichlet composition via the united-forms
-congruence system, class groups from exhaustive reduced-triple enumeration
-with their structure from one polycyclic presentation and a Smith normal
-form (Cohen, A Course in Computational Algebraic Number Theory, 2.4 and
-5.4), and exact representation counting by lattice enumeration.  Every
+Reduction with an SL(2,Z) witness, composition by Shanks' algorithm (Cohen's
+Alg. 5.4.7) with a reduced result, class groups from exhaustive reduced-triple
+enumeration with their structure from one polycyclic presentation and a Smith
+normal form (Cohen, A Course in Computational Algebraic Number Theory, 2.4
+and 5.4), and exact representation counting by lattice enumeration.  Every
 per-pair loop (w-tables, prime counts, one least-prime search per pair,
 class sums) takes the inverse pairs {C, C^-1} from FormClassGroup.pairs.
 Forms are integral, primitive and positive definite throughout; class groups
@@ -156,51 +156,36 @@ def reduce_form(f: QuadForm) -> tuple[QuadForm, Matrix]:
     return QuadForm(a, b, c), w
 
 
-def _solve_linear_congruence(alpha: int, gamma: int, mod: int) -> tuple[int, int]:
-    """Solutions x of alpha*x = gamma (mod mod) as a progression (r, m)."""
-    g = math.gcd(alpha, mod)
-    if gamma % g:
-        raise IdentityViolation("inconsistent congruence in composition")
-    m = mod // g
-    if m == 1:
-        return 0, 1
-    r = (gamma // g) * pow(alpha // g, -1, m) % m
-    return r, m
-
-
-def _merge_progressions(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        raise IdentityViolation("inconsistent congruence system in composition")
-    lcm = m1 // g * m2
-    t = (r2 - r1) // g * pow(m1 // g, -1, m2 // g) % (m2 // g) if m2 > g else 0
-    return (r1 + m1 * t) % lcm, lcm
-
-
 def compose_forms(f1: QuadForm, f2: QuadForm) -> QuadForm:
-    """Dirichlet composition of two forms of equal discriminant, reduced.
+    """The reduced composite of two forms of equal discriminant.
 
-    Uses the united-forms construction: with n = gcd(a1, a2, (b1+b2)/2) the
-    composed form is (a1*a2/n^2, B, *) where B solves
-        B = b1 (mod 2 a1/n),  B = b2 (mod 2 a2/n),
-        (b1+b2)/2 * B = (b1 b2 + D)/2 (mod 2 a1 a2 / n).
+    Shanks' composition (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 5.4.7): with a1 <= a2, s = (b1 + b2)/2, n = b2 - s,
+    d = gcd(a1, a2) = u a2 + v a1 and d1 = gcd(s, d) = x2 s + y2 d, the
+    composite is (v1 v2, b2 + 2 v2 r, *) with v1 = a1/d1, v2 = a2/d1 and
+    r = -(u y2 n + x2 c2) mod v1.  The first extended gcd is skipped when
+    a1 | a2 (u = 0), the second when d | s (x2 = 0, y2 = 1).  Any primitive
+    positive definite forms may come in; the composite is checked integral.
     """
     D = f1.disc
     if D != f2.disc:
         raise ValueError("composition requires equal discriminants")
-    a1, b1 = f1.a, f1.b
-    a2, b2 = f2.a, f2.b
-    beta = (b1 + b2) // 2
-    n = math.gcd(math.gcd(a1, a2), beta)
-    big_a = (a1 // n) * (a2 // n)
-    r, m = b1 % (2 * a1 // n), 2 * a1 // n
-    r, m = _merge_progressions(r, m, b2 % (2 * a2 // n), 2 * a2 // n)
-    r3, m3 = _solve_linear_congruence(beta, (b1 * b2 + D) // 2, 2 * a1 * a2 // n)
-    big_b, _ = _merge_progressions(r, m, r3, m3)
-    quarter = big_b * big_b - D
-    if quarter % (4 * big_a):
+    if f1.a > f2.a:
+        f1, f2 = f2, f1
+    (a1, b1, _), (a2, b2, c2) = f1, f2
+    s = (b1 + b2) // 2
+    n = b2 - s
+    d = math.gcd(a1, a2)
+    u = pow(a2 // d, -1, a1 // d) if a2 % a1 else 0
+    d1 = math.gcd(s, d)
+    x2 = pow(s // d1, -1, d // d1) if s % d else 0
+    y2 = (d1 - x2 * s) // d
+    v1, v2 = a1 // d1, a2 // d1
+    r = -(u * y2 * n + x2 * c2) % v1
+    a3, b3 = v1 * v2, b2 + 2 * v2 * r
+    if (b3 * b3 - D) % (4 * a3):
         raise IdentityViolation("composition produced a non-integral form")
-    reduced, _ = reduce_form(QuadForm(big_a, big_b, quarter // (4 * big_a)))
+    reduced, _ = reduce_form(QuadForm(a3, b3, (b3 * b3 - D) // (4 * a3)))
     return reduced
 
 
@@ -246,12 +231,11 @@ class FormClassGroup:
         return 0
 
     def class_index(self, f: QuadForm) -> int:
+        """The index of f, which must be one of the reduced classes: no form
+        is reduced here, so IdentityViolation for any other form."""
         i = self._index.get((f.a, f.b, f.c))
         if i is None:
-            g, _ = reduce_form(f)
-            i = self._index.get((g.a, g.b, g.c))
-            if i is None:
-                raise IdentityViolation(f"reduced form {tuple(g)} is not a class of q={self.q.q}")
+            raise IdentityViolation(f"form {tuple(f)} is not a reduced class of q={self.q.q}")
         return i
 
     def _product(self, i: int, j: int) -> int:
@@ -259,7 +243,9 @@ class FormClassGroup:
 
     def inverse(self, i: int) -> int:
         f = self.classes[i]
-        return self.class_index(QuadForm(f.a, -f.b, f.c))
+        # (a, -b, c) is not reduced when b = a or a = c, and reduces back to f
+        g, _ = reduce_form(QuadForm(f.a, -f.b, f.c))
+        return self.class_index(g)
 
     @cached_property
     def pairs(self) -> tuple[list[int], list[int]]:

@@ -507,16 +507,22 @@ def test_check_identities_clean(capsys):
 
 
 def test_internal_check_failures_exit_3(capsys, monkeypatch):
-    # a composition that is no group law, and a lattice kernel that visits
-    # the y = 1 row twice (7 half-lattice points of x^2 + xy + y^2 on 7,
-    # which u = 3 does not divide): each is an identity violation, exit 3
+    # a composition that is no group law, one whose composite is the right
+    # class but not reduced, and a lattice kernel that visits the y = 1 row
+    # twice (7 half-lattice points of x^2 + xy + y^2 on 7, which u = 3 does
+    # not divide): each is an identity violation, exit 3
     real = forms._half_rows
+    compose = forms.compose_forms
 
     def y1_row_twice(abc, limit):
         return tuple(np.r_[col, col[1:2]] for col in real(abc, limit))
 
+    def unreduced(f1, f2):
+        return forms.transform_form(compose(f1, f2), ((1, 1), (0, 1)))
+
     for name, fault, argv in (
         ("compose_forms", lambda f1, f2: f1, ("classgroup", "-q", "-39")),
+        ("compose_forms", unreduced, ("classgroup", "-q", "-23")),
         ("_half_rows", y1_row_twice, ("scan-bv", "-Q", "3", "-X", "1000")),
     ):
         with monkeypatch.context() as patch:
@@ -843,6 +849,23 @@ def test_threads_above_the_cap_are_refused(capsys, monkeypatch):
     assert parse([*argv, str(MAX_THREADS)]).threads == MAX_THREADS
     with pytest.raises(UsageError, match="exceeds cap"):
         parse([*argv, str(MAX_THREADS + 1)])
+
+
+def test_n_above_the_cap_is_refused(capsys, monkeypatch):
+    # refused as the option is parsed; 10^20 would reach the lattice kernel
+    # as a Python int and end in a TypeError.  The least prime is above n and
+    # the search stops at --cap <= MAX_X, so the cap refuses no n that resolves
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("x^2 + n y^2 search started")
+
+    monkeypatch.setattr(stats, "_least_primes_x2ny2", refuse)
+    code, out, err = run_cli(capsys, "x2ny2", "--n", str(10**20))
+    assert code == 1 and out == ""
+    assert err.startswith("error: usage:") and "exceeds cap" in err and err.count("\n") == 1
+    parse = cli._build_parser().parse_args
+    assert parse(["x2ny2", "--n", str(MAX_X)]).n == MAX_X
+    with pytest.raises(UsageError, match="exceeds cap"):
+        parse(["x2ny2", "--n", str(MAX_X + 1)])
 
 
 def test_mn_limit_above_the_cap_is_refused(capsys, monkeypatch):

@@ -27,6 +27,7 @@ from qforms.forms import (
     transform_form,
     value_counts,
 )
+from qforms.stats import least_primes
 
 
 def w_units(q: int) -> int:
@@ -88,20 +89,22 @@ def test_reduce_agrees_with_bfs_orbit():
         assert g == f
 
 
+_SL2_STEPS = {"s": ((0, -1), (1, 0)), "t": ((1, 1), (0, 1)), "T": ((1, -1), (0, 1))}
+
+
+def _draw_twist(draw, f: QuadForm) -> QuadForm:
+    """f moved by a drawn word of up to 10 SL(2,Z) generators s, t, t^-1."""
+    for c in draw(st.lists(st.sampled_from("stT"), max_size=10)):
+        f = transform_form(f, _SL2_STEPS[c])
+    return f
+
+
 @st.composite
 def _sl2_twists(draw):
     q = draw(st.sampled_from([d.q for d in fundamental_discriminants(400)]))
     group = class_group(arith.classify_discriminant(q))
     f = draw(st.sampled_from(list(group.classes)))
-    word = draw(
-        st.lists(st.sampled_from(["s", "t", "T"]), min_size=0, max_size=10)
-    )
-    m = ((1, 0), (0, 1))
-    steps = {"s": ((0, -1), (1, 0)), "t": ((1, 1), (0, 1)), "T": ((1, -1), (0, 1))}
-    g = f
-    for c in word:
-        g = transform_form(g, steps[c])
-    return f, g
+    return f, _draw_twist(draw, f)
 
 
 @given(_sl2_twists())
@@ -387,6 +390,80 @@ def test_structure_costs_about_h_compositions(monkeypatch):
 def test_compose_forms_requires_matching_discriminant():
     with pytest.raises(ValueError):
         compose_forms(QuadForm(1, 1, 6), QuadForm(1, 1, 4))
+
+
+def _contract_failures(compose, qs) -> list[tuple[int, int, int]]:
+    """(q, i, j) of each class pair whose composite is not a reduced form of
+    discriminant q that represents p_i p_j, the least primes of the two
+    classes: f1(x, y) f2(u, v) is a value of f1 f2.  A check by values, from
+    stats.least_primes and representation_count, sharing no code with
+    compose_forms."""
+    bad = []
+    for q in qs:
+        g = class_group(q)
+        p = [r.prime for r in least_primes(g, list(range(g.h)))]
+        for i, j in itertools.combinations_with_replacement(range(g.h), 2):
+            f = compose(g.classes[i], g.classes[j])
+            if not (f.is_reduced and f.disc == q and representation_count(f, p[i] * p[j])):
+                bad.append((q, i, j))
+    return bad
+
+
+_FUNDAMENTAL_3000 = [d for d in range(-3000, 0) if arith.is_fundamental_discriminant(d)]
+
+
+def test_composition_contract_by_values():
+    # every class pair of every fundamental |q| <= 1000, mod-8 kinds included
+    qs = [q for q in _FUNDAMENTAL_3000 if q >= -1000]
+    assert any(q % 8 == 0 for q in qs)
+    assert _contract_failures(compose_forms, qs) == []
+
+
+@st.composite
+def _twisted_class_pairs(draw):
+    """Two classes of a fundamental |q| < 3000 and an SL(2,Z) twist of each."""
+    group = class_group(draw(st.sampled_from(_FUNDAMENTAL_3000)))
+    f1 = draw(st.sampled_from(group.classes))
+    f2 = draw(st.sampled_from(group.classes))
+    return f1, f2, _draw_twist(draw, f1), _draw_twist(draw, f2)
+
+
+@given(_twisted_class_pairs())
+def test_composition_ignores_the_representatives(fs):
+    f1, f2, g1, g2 = fs
+    assert compose_forms(g1, g2) == compose_forms(f1, f2), fs
+
+
+def _unreduced_composite(f1, f2):
+    # the right class, one SL(2,Z) step past its reduced form
+    return transform_form(compose_forms(f1, f2), ((1, 1), (0, 1)))
+
+
+def _flipped_composite(f1, f2):
+    # the wrong sign of B: the inverse class, which represents the same values
+    a, b, c = compose_forms(f1, f2)
+    return reduce_form(QuadForm(a, -b, c))[0]
+
+
+def test_composition_faults_fire(monkeypatch):
+    # an unreduced composite fails the contract, and the group build takes
+    # only reduced classes; the inverse composite is no group law
+    assert _contract_failures(_unreduced_composite, [-23, -3299])
+    for fault in (_unreduced_composite, _flipped_composite):
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "compose_forms", fault)
+            for q in (-23, -3299):
+                with _deadline(10), pytest.raises(IdentityViolation):
+                    class_group(q).cyclic_decomposition
+
+
+def test_class_index_takes_reduced_classes_only():
+    g = class_group(-23)
+    assert [g.class_index(f) for f in g.classes] == [0, 1, 2]
+    # (2, 1, 3) one step of t and of s away, and the reduced class of q = -15
+    for f in (QuadForm(2, 5, 6), QuadForm(3, -1, 2), QuadForm(1, 1, 4)):
+        with pytest.raises(IdentityViolation, match=r"is not a reduced class of q=-23"):
+            g.class_index(f)
 
 
 # ---------------------------------------------------------------------------
