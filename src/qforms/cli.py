@@ -13,12 +13,12 @@ cap are usage errors, and so is a `--delta-n` above N.  The caps:
     --max-n           1e6  MAX_X2NY2_N
     --trials          1e6  MAX_TRIALS
 
-Exit codes: 0 success, 1 usage error or an OS error writing `--out` or
-`--cache`, 2 a least-prime search that hit its cap unresolved, 3 internal
-identity violation.  Errors print one machine-parseable line
-`error: <category>: <message>` on stderr; the categories are usage,
-invalid-input, io (exit 1), unresolved (exit 2) and identity-violation
-(exit 3).
+Exit codes: 0 success, 1 usage error, an OS error writing `--out` or
+`--cache`, or a run out of memory within the caps, 2 a least-prime search
+that hit its cap unresolved, 3 internal identity violation.  Errors print
+one machine-parseable line `error: <category>: <message>` on stderr; the
+categories are usage, invalid-input, io, memory (exit 1), unresolved
+(exit 2) and identity-violation (exit 3).
 
 `check-identities` runs both checks in one pass, one class group and one
 weight table up to max(mn_limit, N) per q.  It prints one count line per
@@ -249,7 +249,7 @@ def _cmd_classgroup(args) -> int:
 
 def _cmd_scan(args) -> int:
     cfg = StatConfig(c3=args.c3, A=args.A)
-    sieve = arith.build_sieve(max(2, int(args.X)))
+    sieve = arith.build_sieve(int(args.X))
     fn = stats.bv_statistic if args.command == "scan-bv" else stats.bdh_statistic
     report = fn(args.Q, args.X, sieve, cfg, threads=args.threads)
     text = report.to_json() + "\n" if args.format == "json" else report.to_csv()
@@ -259,14 +259,12 @@ def _cmd_scan(args) -> int:
 
 def _cmd_least_prime(args) -> int:
     group = class_group(args.q)
-    indices = (
-        [args.class_index]
-        if args.class_index is not None
-        else list(range(group.h))
-    )
-    for i in indices:
-        if not 0 <= i < group.h:
-            raise UsageError(f"class index {i} outside 0..{group.h - 1}")
+    if args.class_index is None:
+        indices = list(range(group.h))
+    elif 0 <= args.class_index < group.h:
+        indices = [args.class_index]
+    else:
+        raise UsageError(f"class index {args.class_index} outside 0..{group.h - 1}")
     results = stats.least_primes(group, indices, cap=args.cap)
     if args.format == "json":
         payload = {
@@ -401,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except WriteError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: memory: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except IdentityViolation as exc:
         print(f"error: identity-violation: {exc}", file=sys.stderr)

@@ -92,18 +92,9 @@ class SieveExperiment:
     max_ratio: float = 0.0
 
     def to_json(self) -> str:
-        cfg = self.config
         return canonical_json(
             {
-                "meta": {
-                    "Q": cfg.Q,
-                    "N": cfg.N,
-                    "trials": cfg.trials,
-                    "coeff_source": cfg.coeff_source,
-                    "delta_n": cfg.delta_n,
-                    "seed": cfg.seed,
-                    "eps": cfg.eps,
-                },
+                "meta": vars(self.config),
                 "ratios": self.ratios,
                 "max_ratio": self.max_ratio,
             }

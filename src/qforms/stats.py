@@ -66,18 +66,17 @@ class StatConfig:
     """Analysis parameters for the scan statistics.
 
     c3 controls the exceptional-discriminant inequality
-    sqrt(|q|)/log|q| <= c3 * h(q); A is a reporting parameter that only
-    enters the normalization of aggregates.  y_grid_count is the number of
-    Y grid points of discrepancy_E_k for k >= 1; the scans do not read it.
+    sqrt(|q|)/log|q| <= c3 * h(q); li_tol is the quadrature tolerance of
+    li(X); A is a reporting parameter that only enters the normalization of
+    aggregates.
     """
 
     c3: float = 20.0
-    y_grid_count: int = 64
     li_tol: float = 1e-10
     A: float = 2.0
 
     def __post_init__(self):
-        if not (self.c3 > 0 and self.y_grid_count >= 1 and self.li_tol > 0 and self.A > 0):
+        if not (self.c3 > 0 and self.li_tol > 0 and self.A > 0):
             raise ValueError("invalid StatConfig")
 
 
@@ -215,8 +214,9 @@ def _pi_repr_block(
     return out
 
 
-def psi_k(Y: float, group: FormClassGroup, c: int, k: int, table: WTable) -> float:
-    """(1/k!) sum over n <= Y of Lambda(n) (log Y/n)^k w(C, n)."""
+def psi_k(Y: float, c: int, k: int, table: WTable) -> float:
+    """(1/k!) sum over n <= Y of Lambda(n) (log Y/n)^k w(C, n), C the class
+    of row c of table."""
     if Y > table.N:
         raise ValueError("Y beyond table limit")
     if k < 0:
@@ -245,21 +245,17 @@ def psi_k_chi(Y: float, chi: ClassCharacter, k: int, table: WTable) -> complex:
 # near 2^18 terms, so a chunk's two float64 arrays and its mask take about
 # 4.5 MB and memory is O(h P + 2^18) at any X
 _GRID_CHUNK_TERMS = 1 << 18
+# points of the uniform Y grid of discrepancy_E_k for k >= 1
+_Y_GRID_COUNT = 64
 
 
-def discrepancy_E_k(
-    X: float,
-    group: FormClassGroup,
-    k: int,
-    table: WTable,
-    cfg: StatConfig = StatConfig(),
-) -> float:
+def discrepancy_E_k(X: float, group: FormClassGroup, k: int, table: WTable) -> float:
     """max over classes and over Y <= X of |psi_k(Y;q,C) - class average|.
 
     For k = 0 the summand is a step function that jumps only at prime
-    powers, so the maximum is exact: one prefix sum over the jumps up to X,
-    and cfg.y_grid_count plays no part.  For k >= 1 the Y maximum runs over
-    a uniform grid of y_grid_count points, evaluated in chunks of grid
+    powers, so the maximum is exact: one prefix sum over the jumps up to X.
+    For k >= 1 the Y maximum runs over the fixed grid Y = X j / 64,
+    j = 1..64 (_Y_GRID_COUNT), evaluated in chunks of grid
     columns, each one (h x P) @ (P x columns) product of the masked terms
     log p * log(Y/n)^k * [n <= Y] over the prime powers n with w(C, n) > 0
     for some class.  Identically zero when h(q) = 1.
@@ -282,7 +278,7 @@ def discrepancy_E_k(
     # a prime power that no class represents adds zero to every row
     keep = w.any(axis=0)
     wsub = w[:, keep].astype(np.float64)
-    grid = X * np.arange(1, cfg.y_grid_count + 1) / cfg.y_grid_count
+    grid = X * np.arange(1, _Y_GRID_COUNT + 1) / _Y_GRID_COUNT
     kfact = math.factorial(k)
     step = max(1, _GRID_CHUNK_TERMS // ns.size)
     best = 0.0
@@ -351,16 +347,7 @@ class DiscrepancyReport:
                     "c3": self.c3,
                     "A": self.A,
                 },
-                "rows": [
-                    {
-                        "q": r.q,
-                        "h": r.h,
-                        "e_max": r.e_max,
-                        "value": r.value,
-                        "exceptional": r.exceptional,
-                    }
-                    for r in self.rows
-                ],
+                "rows": [vars(r) for r in self.rows],
                 "aggregate": self.aggregate,
                 "normalized": self.normalized,
             }
@@ -376,11 +363,10 @@ class DiscrepancyReport:
         return "\n".join(lines) + "\n"
 
 
-def is_exceptional(
-    q: Discriminant, group: FormClassGroup, cfg: StatConfig = StatConfig()
-) -> bool:
+def is_exceptional(group: FormClassGroup, cfg: StatConfig = StatConfig()) -> bool:
     """Whether sqrt(|q|)/log|q| > c3 h(q), the surrogate for a Siegel zero."""
-    return math.sqrt(q.abs_q) / math.log(q.abs_q) > cfg.c3 * group.h
+    q = group.q.abs_q
+    return math.sqrt(q) / math.log(q) > cfg.c3 * group.h
 
 
 # lattice rows per kernel pass: a scan's block of consecutive q (about four
@@ -420,7 +406,7 @@ def _scan(
             abs(float(pis[i]) - li_x / (group.e[i] * group.h))
             for i in range(group.h)
         ]
-        exc = is_exceptional(group.q, group, cfg)
+        exc = is_exceptional(group, cfg)
         if statistic == "bv":
             best = max(range(group.h), key=lambda i: devs[i])
             return QRecord(group.q.q, group.h, group.e[best], devs[best], exc)
@@ -509,7 +495,6 @@ class LeastPrimeResult:
     class_index: int
     prime: int | None
     status: str  # "found" | "unresolved"
-    searched_to: int
 
 
 def _least_values(abc: np.ndarray, limit: int, flags: np.ndarray, wedge: bool) -> np.ndarray:
@@ -531,24 +516,22 @@ def _least_values(abc: np.ndarray, limit: int, flags: np.ndarray, wedge: bool) -
     return least
 
 
-def _search(abc: np.ndarray, first: int, cap: int, wedge: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(least, searched_to): _least_values of each reduced form of abc, 0
-    where its search hit cap, and the bound at which the search stopped.
+def _search(abc: np.ndarray, first: int, cap: int, wedge: bool) -> np.ndarray:
+    """_least_values of each reduced form of abc, 0 where its search hit cap.
     The bounds are first, 8 first, ... up to cap; at each, one prime flag
     table and one _least_values pass serve every pending form that can
     reach it (its values are at least a, and at least c on a wedge)."""
     floor = abc[:, 2 if wedge else 0]
-    least, searched_to = np.zeros((2, len(abc)), dtype=np.int64)
+    least = np.zeros(len(abc), dtype=np.int64)
     pending, bound = np.arange(len(abc)), first
     while pending.size:
         bound = min(bound, cap)
         ready = pending[floor[pending] <= bound]
         if ready.size:
             least[ready] = _least_values(abc[ready], bound, arith.prime_flags(bound), wedge)
-        searched_to[pending] = bound
         pending = pending[least[pending] == 0] if bound < cap else pending[:0]
         bound <<= 3
-    return least, searched_to
+    return least
 
 
 def least_primes(
@@ -559,17 +542,16 @@ def least_primes(
     One class of each pair {C, C^-1} (FormClassGroup.pairs) is searched, and
     its answer serves both: one _search over their half lattices from the
     bound 2^10.  The scan never passes cap; an unsuccessful search reports
-    status "unresolved" rather than a wrong answer.
+    prime None and status "unresolved" rather than a wrong answer.
     """
     if cap < 1:
         raise ValueError("cap must be positive")
     reps, pair = group.pairs
     searched = list(dict.fromkeys(pair[c] for c in indices))
     abc = np.array([tuple(group.classes[reps[k]]) for k in searched], dtype=np.int64)
-    least, searched_to = _search(abc.reshape(-1, 3), 1 << 10, cap, wedge=False)
+    least = _search(abc.reshape(-1, 3), 1 << 10, cap, wedge=False)
     found = {
-        k: (p or None, "found" if p else "unresolved", s)
-        for k, p, s in zip(searched, least.tolist(), searched_to.tolist())
+        k: (p or None, "found" if p else "unresolved") for k, p in zip(searched, least.tolist())
     }
     return [LeastPrimeResult(c, *found[pair[c]]) for c in indices]
 
@@ -603,7 +585,7 @@ def _least_primes_x2ny2(ns: np.ndarray, cap: int) -> tuple[np.ndarray, np.ndarra
     least y with p - n y^2 a square (> 0 as y < y_min, and the root of a
     square < 2^52 is exact), for every n at once, y = 1, 2, ... in turn."""
     abc = np.stack([np.ones_like(ns), np.zeros_like(ns), ns], axis=1)
-    p, _ = _search(abc, 64, cap, wedge=True)
+    p = _search(abc, 64, cap, wedge=True)
     y_min = np.zeros_like(ns)
     todo, y = np.flatnonzero(p), 1
     while todo.size:

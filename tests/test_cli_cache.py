@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+import resource
 import runpy
 import struct
 import subprocess
@@ -363,6 +364,28 @@ def test_sieve_ratio_golden_output(source, blas_threads):
     assert hashlib.sha256(proc.stdout).hexdigest() == SIEVE_RATIO_GOLDEN[source]
 
 
+def test_out_of_memory_is_one_error_line():
+    # both options are within their caps, but the class sums of -Q 300
+    # -N 1e7 need 8.6 GiB; the address-space limit binds the child only
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(src), env.get("PYTHONPATH"))))
+    limit = 1_500_000 * 1024
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["sieve-ratio", "-Q", "300", "-N", "10000000", "--trials", "1"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qforms", *argv],
+        capture_output=True, text=True, env=env, preexec_fn=cap_memory, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: memory:"), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 # sha256 of the stdout of `qforms least-prime -q -999995 --format json`
 # (h = 480): the search of one class per inverse pair must answer both
 LEAST_PRIME_GOLDEN = {
@@ -451,6 +474,17 @@ def test_delta_n_above_n_is_refused(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv, "6")
     assert code == 1 and out == ""
     assert err == "error: usage: argument --delta-n: delta-n=6 exceeds N=5\n", err
+
+
+@pytest.mark.parametrize("index", ["-1", "3"])
+def test_class_index_outside_the_group_is_refused(capsys, monkeypatch, index):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("least-prime search started")
+
+    monkeypatch.setattr(stats, "least_primes", refuse)
+    code, out, err = run_cli(capsys, "least-prime", "-q", "-23", "--class-index", index)
+    assert code == 1 and out == ""
+    assert err == f"error: usage: class index {index} outside 0..2\n", err
 
 
 def test_least_prime_cap_exit_code(capsys):

@@ -300,22 +300,22 @@ def test_pi_repr_all_refuses_a_fractional_ideal_count(sieve_10k, monkeypatch):
 def test_psi_trivial_cases():
     g = class_group(-23)
     table = build_w_table(g, 100)
-    assert psi_k(1.5, g, 0, 0, table) == 0.0
+    assert psi_k(1.5, 0, 0, table) == 0.0
     with pytest.raises(ValueError):
-        psi_k(101, g, 0, 0, table)
+        psi_k(101, 0, 0, table)
 
 
 def test_psi_example_minus4():
     g4 = class_group(-4)
     table = build_w_table(g4, 10)
-    got = psi_k(5, g4, 0, 0, table)
+    got = psi_k(5, 0, 0, table)
     assert got == pytest.approx(2 * math.log(2) + 2 * math.log(5), abs=1e-12)
 
 
 def test_psi_brute_force_oracle():
     g3 = class_group(-3)
     table = build_w_table(g3, 100)
-    got = psi_k(100, g3, 0, 2, table)
+    got = psi_k(100, 0, 2, table)
     brute = 0.0
     for n in range(2, 101):
         fac = arith.factorize(n)
@@ -336,7 +336,7 @@ def test_psi_character_decomposition():
             for y in (50.0, 997.0, 9999.0):
                 by_char = [psi_k_chi(y, c, k, table) for c in chars]
                 for ci in range(group.h):
-                    direct = psi_k(y, group, ci, k, table)
+                    direct = psi_k(y, ci, k, table)
                     mixed = (
                         sum(
                             np.conj(c.values[ci]) * v
@@ -365,8 +365,8 @@ def test_discrepancy_zero_for_trivial_groups():
 def test_discrepancy_dense_grid_oracle():
     group = class_group(-23)
     table = build_w_table(group, 2000)
-    cfg = StatConfig(y_grid_count=2000)
-    got = discrepancy_E_k(2000, group, 2, table, cfg)
+    with unittest.mock.patch.object(stats, "_Y_GRID_COUNT", 2000):
+        got = discrepancy_E_k(2000, group, 2, table)
     # independent direct summation on the same dense grid
     best = 0.0
     ns, logs = arith.prime_power_table(2000)
@@ -388,12 +388,14 @@ def test_discrepancy_k0_jump_points_dominate_grid():
     # with jump points included, refining the uniform grid changes nothing
     group = class_group(-47)
     table = build_w_table(group, 1500)
-    coarse = discrepancy_E_k(1500, group, 0, table, StatConfig(y_grid_count=4))
-    fine = discrepancy_E_k(1500, group, 0, table, StatConfig(y_grid_count=512))
+    with unittest.mock.patch.object(stats, "_Y_GRID_COUNT", 4):
+        coarse = discrepancy_E_k(1500, group, 0, table)
+    with unittest.mock.patch.object(stats, "_Y_GRID_COUNT", 512):
+        fine = discrepancy_E_k(1500, group, 0, table)
     assert coarse == pytest.approx(fine, rel=1e-12)
 
 
-def _E_k_per_y(X, group, k, table, cfg=StatConfig()):
+def _E_k_per_y(X, group, k, table, grid_count=stats._Y_GRID_COUNT):
     """Slow-path reference: the per-Y loop discrepancy_E_k replaced."""
     if X > table.N:
         raise ValueError("X beyond table limit")
@@ -401,7 +403,7 @@ def _E_k_per_y(X, group, k, table, cfg=StatConfig()):
         return 0.0
     ns, logs = arith.prime_power_table(int(min(X, table.N)))
     wsub = table.w[:, ns].astype(np.float64)
-    grid = X * np.arange(1, cfg.y_grid_count + 1) / cfg.y_grid_count
+    grid = X * np.arange(1, grid_count + 1) / grid_count
     if k == 0:
         grid = np.union1d(grid, ns[ns <= X].astype(np.float64))
     kfact = math.factorial(k)
@@ -437,14 +439,16 @@ def _group_and_table(q, N=_E_K_N):
 )
 def test_discrepancy_matches_per_y_loop(q, k, grid_count, X, chunk_columns):
     group, table = _group_and_table(q)
-    cfg = StatConfig(y_grid_count=grid_count)
     chunk_terms = stats._GRID_CHUNK_TERMS
     if chunk_columns is not None:
         # grid chunks of a few columns, so every chunk boundary is crossed
         chunk_terms = chunk_columns * arith.prime_power_table(int(X))[0].size
-    with unittest.mock.patch.object(stats, "_GRID_CHUNK_TERMS", chunk_terms):
-        got = discrepancy_E_k(X, group, k, table, cfg)
-    assert got == pytest.approx(_E_k_per_y(X, group, k, table, cfg), rel=1e-12)
+    with (
+        unittest.mock.patch.object(stats, "_GRID_CHUNK_TERMS", chunk_terms),
+        unittest.mock.patch.object(stats, "_Y_GRID_COUNT", grid_count),
+    ):
+        got = discrepancy_E_k(X, group, k, table)
+    assert got == pytest.approx(_E_k_per_y(X, group, k, table, grid_count), rel=1e-12)
 
 
 def test_discrepancy_edge_cases_match_per_y_loop():
@@ -624,12 +628,12 @@ def test_report_serialization_roundtrip(sieve_10k):
 
 def test_exceptional_examples():
     g4 = class_group(-4)
-    assert not is_exceptional(g4.q, g4, StatConfig(c3=20.0))
+    assert not is_exceptional(g4, StatConfig(c3=20.0))
     # raising c3 never turns non-exceptional into exceptional
     for q in (-4, -23, -163):
         group = class_group(q)
         flags = [
-            is_exceptional(group.q, group, StatConfig(c3=c))
+            is_exceptional(group, StatConfig(c3=c))
             for c in (0.5, 1.0, 5.0, 20.0)
         ]
         assert flags == sorted(flags, reverse=True)
@@ -692,9 +696,9 @@ def _least_prime_reference(group, c, cap):
         primes = np.flatnonzero(arith.prime_flags(bound))
         hits = primes[represented_mask(f, bound)[primes]]
         if hits.size:
-            return LeastPrimeResult(c, int(hits[0]), "found", bound)
+            return LeastPrimeResult(c, int(hits[0]), "found")
         if bound >= cap:
-            return LeastPrimeResult(c, None, "unresolved", bound)
+            return LeastPrimeResult(c, None, "unresolved")
         bound <<= 3
 
 
