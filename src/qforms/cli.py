@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Each numeric option is checked as it is parsed, before any work starts.
-NaN, infinity, a value not above 0 (below 2 for X) and a value above its
-cap are usage errors, and so is a `--delta-n` above N.  The caps:
+NaN, infinity, a value not above 0 (below 2 for X, below 1 for the -Q of
+sieve-ratio, below 0 for --seed) and a value above its cap are usage
+errors, and so is a `--delta-n` above N.  The caps:
 
     -Q, |q|           1e6  MAX_Q (-q must also be a negative fundamental
                            discriminant)
@@ -80,16 +81,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(kind, name: str, low: float = 0, cap: float | None = None):
-    """An argparse type for a finite `kind` value that is above 0 and at
-    least `low` and at most `cap`."""
+def _number(kind, name: str, low: float | None = None, cap: float | None = None):
+    """An argparse type for a finite `kind` value that is at least `low`
+    (above 0 if `low` is None) and at most `cap`."""
 
     def parse(text: str):
         value = kind(text)
         if kind is float and not math.isfinite(value):
             raise argparse.ArgumentTypeError(f"{name}={value} is not finite")
-        if not (value > 0 and value >= low):
-            floor = "positive" if low <= 1 else f"at least {low}"
+        if not (value > 0 if low is None else value >= low):
+            floor = "positive" if low is None else f"at least {low}"
             raise argparse.ArgumentTypeError(f"{name} must be {floor}")
         if cap is not None and value > cap:
             raise argparse.ArgumentTypeError(f"{name}={value} exceeds cap {cap}")
@@ -171,10 +172,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("sieve-ratio", help="mean-square character sum ratio experiment")
     p.set_defaults(run=_cmd_sieve_ratio)
-    p.add_argument("-Q", type=_Q, required=True)
+    # the experiment takes int(Q), and every w-table is built before the
+    # generator sees the seed
+    p.add_argument("-Q", type=_number(float, "Q", low=1, cap=MAX_Q), required=True)
     p.add_argument("-N", type=_N, required=True)
     p.add_argument("--trials", type=_number(int, "trials", cap=MAX_TRIALS), default=1)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_number(int, "seed", low=0), default=1)
     p.add_argument(
         "--coeffs", choices=("rademacher", "ones", "zeros", "delta"), default="rademacher"
     )

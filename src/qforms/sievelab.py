@@ -55,13 +55,7 @@ __all__ = [
     "convolution_check",
     "HeckeViolation",
     "ConvolutionViolation",
-    "LS_BASELINE",
-    "PRESETS",
 ]
-
-# Measured once with the "baseline" preset below (seed 1, Q=100, N=10^4,
-# 100 Rademacher trials); regression tests assert max ratio <= 1.5x this.
-LS_BASELINE = 3.3491728946812557e-07
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class SieveExperimentConfig:
     eps: float = 0.1
 
     def __post_init__(self):
-        if self.Q < 1 or self.N < 1 or self.trials < 1:
+        if self.Q < 1 or self.N < 1 or self.trials < 1 or self.seed < 0:
             raise ValueError("invalid experiment config")
         if self.coeff_source not in ("rademacher", "ones", "zeros", "delta"):
             raise ValueError(f"unknown coefficient source {self.coeff_source!r}")
@@ -99,15 +93,6 @@ class SieveExperiment:
                 "max_ratio": self.max_ratio,
             }
         )
-
-
-PRESETS: dict[str, SieveExperimentConfig] = {
-    "baseline": SieveExperimentConfig(Q=100, N=10_000, trials=100, seed=1),
-    "zeros": SieveExperimentConfig(Q=100, N=10_000, trials=1, coeff_source="zeros"),
-    "empty-family": SieveExperimentConfig(Q=10, N=1_000, trials=10, seed=1),
-    "ones": SieveExperimentConfig(Q=100, N=10_000, trials=1, coeff_source="ones"),
-    "delta": SieveExperimentConfig(Q=100, N=10_000, trials=1, coeff_source="delta"),
-}
 
 
 def complex_character_lambdas(Q: float, N: int) -> np.ndarray:

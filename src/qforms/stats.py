@@ -1,7 +1,7 @@
 """Prime-distribution statistics over discriminant families.
 
-Implements the per-class prime counts pi(X; q, C), the smoothed Chebyshev
-sums psi_k, the per-discriminant discrepancy E_k, the family-averaged
+Implements the per-class prime counts pi(X; q, C), the per-discriminant
+discrepancy E_k of the smoothed Chebyshev sums psi_k, the family-averaged
 max-deviation (scan_bv) and mean-square (scan_bdh) statistics with their
 normalizations, exceptional-discriminant flags, least represented primes,
 the x^2 + n y^2 least-prime search, and the singular series for primes of
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import arith
 from .arith import Discriminant, IdentityViolation, SieveTables, kronecker
-from .characters import ClassCharacter, WTable, lambda_table, w_units
+from .characters import WTable, w_units
 from .forms import (
     FormClassGroup,
     QuadForm,
@@ -36,8 +36,6 @@ __all__ = [
     "StatConfig",
     "li",
     "pi_repr_all",
-    "psi_k",
-    "psi_k_chi",
     "discrepancy_E_k",
     "QRecord",
     "DiscrepancyReport",
@@ -212,33 +210,6 @@ def _pi_repr_block(
             counts.append(primes + len(_small_primes_represented(f, limit)))
         out.append(np.array(counts, dtype=np.int64)[group.pairs[1]])
     return out
-
-
-def psi_k(Y: float, c: int, k: int, table: WTable) -> float:
-    """(1/k!) sum over n <= Y of Lambda(n) (log Y/n)^k w(C, n), C the class
-    of row c of table."""
-    if Y > table.N:
-        raise ValueError("Y beyond table limit")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if Y < 2:
-        return 0.0
-    ns, logs = arith.prime_power_table(int(Y))
-    wrow = table.w[c, ns]
-    terms = logs * wrow * np.log(Y / ns) ** k
-    return float(terms.sum()) / math.factorial(k)
-
-
-def psi_k_chi(Y: float, chi: ClassCharacter, k: int, table: WTable) -> complex:
-    """Character-twisted psi: (1/k!) sum of Lambda(n) lambda_chi(n) (log Y/n)^k."""
-    if Y > table.N:
-        raise ValueError("Y beyond table limit")
-    if Y < 2:
-        return 0.0 + 0.0j
-    ns, logs = arith.prime_power_table(int(Y))
-    lam = lambda_table(chi, table)[ns]
-    terms = logs * lam * np.log(Y / ns) ** k
-    return complex(terms.sum()) / math.factorial(k)
 
 
 # grid columns per chunk of discrepancy_E_k for k >= 1: P * columns stays

@@ -16,6 +16,8 @@ from qforms.cli import main
 from qforms.forms import class_group, class_number
 from qforms.stats import li
 
+from oracles import LS_BASELINE, PRESETS
+
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
     tag = "PASS" if ok else "FAIL"
@@ -168,11 +170,11 @@ def test_criterion_8_equidistribution_sanity(sieve_1m, capsys):
 
 
 def test_criterion_9_large_sieve_regression(capsys):
-    exp = sievelab.run_sieve_experiment(sievelab.PRESETS["baseline"])
-    zeros = sievelab.run_sieve_experiment(sievelab.PRESETS["zeros"])
-    empty = sievelab.run_sieve_experiment(sievelab.PRESETS["empty-family"])
+    exp = sievelab.run_sieve_experiment(PRESETS["baseline"])
+    zeros = sievelab.run_sieve_experiment(PRESETS["zeros"])
+    empty = sievelab.run_sieve_experiment(PRESETS["empty-family"])
     ok = (
-        exp.max_ratio <= 1.5 * sievelab.LS_BASELINE
+        exp.max_ratio <= 1.5 * LS_BASELINE
         and zeros.max_ratio == 0.0
         and empty.max_ratio == 0.0
     )
@@ -180,7 +182,7 @@ def test_criterion_9_large_sieve_regression(capsys):
         _report(
             "9 large sieve ratio regression (seed 1, Q=100, N=1e4, 100 trials)",
             ok,
-            f"max ratio {exp.max_ratio:.3e} vs baseline {sievelab.LS_BASELINE:.3e}",
+            f"max ratio {exp.max_ratio:.3e} vs baseline {LS_BASELINE:.3e}",
         )
 
 
