@@ -14,7 +14,10 @@ The lattice kernel uses f(x, y) = f(-x, -y): it enumerates only the half
 lattice (y > 0 with every x, y = 0 with x >= 1).  It takes a batch of forms
 and walks all of their rows in one pass, every row's exact x-range from one
 vectorised integer square root, and emits the values in numpy chunks of
-about _CHUNK points, so memory stays bounded at any limit.  Each chunk says
+about _CHUNK points, so memory stays bounded at any limit.  Each chunk is
+one quadratic in its point index: x = j - S on a sub-row with j = 0, M,
+2M, ... read from one index array per pass, so its values are
+(a j + B) j + C with one B and C per sub-row (_row_terms).  Each chunk says
 which form each of its sub-rows belongs to; where the values alone must
 tell, an offset per form keeps them apart.  A weight table is one such pass
 over a form of every inverse pair of a class group, the prime counts of
@@ -574,6 +577,23 @@ def _sub_rows(
     return form[keep], y[keep], lo[keep], n[keep]
 
 
+def _row_terms(
+    a, b, c, y: np.ndarray, S: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(B, C) of sub-rows whose points are x = j - S on rows y of (a, b, c).
+
+    j runs over multiples of M, so f(j - S, y) = (a j + B) j + C with
+    B = b y - 2 a S and C = a S^2 - b y S + c y^2.  a, b and c are ints, or
+    arrays beside y and S.
+    """
+    aS = a * S
+    B = b * y - aS  # b y - a S until the last step
+    C = c * y * y
+    C -= B * S
+    B -= aS
+    return B, C
+
+
 def _half_lattice_values(
     abc,
     limit: int,
@@ -594,45 +614,65 @@ def _half_lattice_values(
     and memory stays O(_CHUNK + F M sqrt(limit)) at any limit.  Each chunk
     is (vals, form, count): its values, then the form and the number of
     values of each of its sub-rows; a form's sub-rows are consecutive.
+
+    Each chunk is one quadratic in its point index i = 0, 1, ...: a point
+    of the sub-row that starts at point s of the chunk has x = j - S with
+    j = M i and S = M s - first, so its value is (a j + B) j + C, with the
+    sub-row's B and C from _row_terms (plus the form's offset in C).  One
+    read-only index j = 0, M, 2M, ... of the longest chunk's length serves
+    every chunk, and the values take six chunk-sized numpy passes (seven
+    when the chunk holds several forms).
+
+    Exactness: every step is an int64 +, - or *, exact modulo 2^64, and
+    each value f(x, y) + offset lies in [-2^63, 2^63), so it comes out exact
+    even where a term such as a j^2 or C passes 2^63 (a = 2^30 with j near
+    6 * 2^14, deep in a chunk).  A batch past either bound is refused with
+    ValueError: 4 a limit < 2^52 for the square root of _half_rows, and
+    limit + offset < 2^63.
     """
     abc = np.asarray(abc, dtype=np.int64)
     wedge = np.zeros(len(abc), dtype=bool) if wedge is None else np.asarray(wedge, dtype=bool)
+    if offsets is not None and max(offsets.tolist(), default=0) >= (1 << 63) - limit:
+        raise ValueError("offsets too large for the exact lattice kernel")
     form, y, first, n = _sub_rows(abc, limit, M, wedge)
     if not n.size:
         return
-    ends = np.cumsum(n)
-    # the k-th point overall, in the sub-row that starts at point s, has
-    # x = first + M (k - s) = M k - (M s - first)
-    shift = M * (ends - n) - first
+    ends = n.cumsum()
+    begin = ends - n
+    total = int(ends[-1])
+    # x = M (point - s) + first = M point - shift for the sub-row that starts
+    # at point s; within a chunk that starts at point p, S = shift - M p
+    shift = M * begin - first
     del first
     # the sub-row of each chunk's first point; sorted, so a repeat is adjacent
-    cuts = np.searchsorted(ends, np.arange(0, ends[-1], _CHUNK), side="right")
+    cuts = ends.searchsorted(np.arange(0, total, _CHUNK), side="right")
     cuts = cuts[np.concatenate(([True], cuts[1:] != cuts[:-1]))]
+    starts = begin[cuts].tolist()
+    stops = starts[1:] + [total]
+    # the longest chunk: its first sub-row and fewer than _CHUNK points more
+    index = np.arange(0, M * max(p1 - p0 for p0, p1 in zip(starts, stops)), M)
+    index.flags.writeable = False
     coefs = abc.tolist()
-    for r0, r1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size]):
+    for r0, r1, p0, p1 in zip(cuts.tolist(), cuts[1:].tolist() + [n.size], starts, stops):
         cnt = n[r0:r1]
-        rows = y[r0:r1]
         k = form[r0:r1]
+        j = index[: p1 - p0]
         # the chunk's coefficients: Python ints when it holds one form, else
-        # one per row; b y and c y^2 (+ offset) are repeated per point and
-        # the values computed in place, so at most three chunk-sized arrays
-        # live at once, few enough that the allocator reuses their pages
-        # instead of faulting in fresh ones per chunk
+        # one per row; B and C are repeated per point and the values computed
+        # in place, so two chunk-sized arrays live at once beside the index
         one_form = k[0] == k[-1]
         a, b, c = coefs[k[0]] if one_form else abc[k].T
-        xs = np.arange(M * (ends[r0] - cnt[0]), M * ends[r1 - 1], M)
-        xs -= np.repeat(shift[r0:r1], cnt)
-        if one_form:
-            vals = a * xs
-        else:
-            vals = np.repeat(a, cnt)
-            vals *= xs
-        vals += np.repeat(b * rows, cnt)
-        vals *= xs
-        tail = c * rows * rows
+        B, C = _row_terms(a, b, c, y[r0:r1], shift[r0:r1] - M * p0)
         if offsets is not None:
-            tail += offsets[k]
-        vals += np.repeat(tail, cnt)
+            C += offsets[k]
+        if one_form:
+            vals = a * j
+        else:
+            vals = a.repeat(cnt)
+            vals *= j
+        vals += B.repeat(cnt)
+        vals *= j
+        vals += C.repeat(cnt)
         yield vals, k, cnt
 
 

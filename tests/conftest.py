@@ -47,6 +47,26 @@ def wedge_faults():
 
 
 @pytest.fixture
+def row_term_faults():
+    """forms._row_terms planted wrong, each as a factory of the kernel's
+    modulus M: S one stride short (every x shifted by M), and B with its
+    sign flipped."""
+    real = forms._row_terms
+
+    def stride_short(M):
+        return lambda a, b, c, y, S: real(a, b, c, y, S - M)
+
+    def b_flipped(M):
+        def fault(a, b, c, y, S):
+            B, C = real(a, b, c, y, S)
+            return -B, C
+
+        return fault
+
+    return stride_short, b_flipped
+
+
+@pytest.fixture
 def swapped_fixed_line_values():
     """forms._fixed_line_values with a swapped candidate: the b = 0 kind
     reads the b = a pair (a, 4c - a)."""

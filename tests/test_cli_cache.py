@@ -361,6 +361,24 @@ def test_scan_golden_output(capsys, command, threads):
     assert hashlib.sha256(out.encode()).hexdigest() == SCAN_GOLDEN[command]
 
 
+@pytest.mark.parametrize("command", sorted(SCAN_GOLDEN))
+def test_scan_golden_output_fires_on_planted_row_term_faults(
+    capsys, monkeypatch, row_term_faults, command
+):
+    # a fault in the kernel's per-row terms moves the scan's values: off the
+    # golden bytes, or past the prime table
+    for fault in row_term_faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_row_terms", fault(stats._MODULUS))
+            try:
+                code, out, _ = run_cli(
+                    capsys, command, "-Q", "200", "-X", "1000001", "--format", "json"
+                )
+            except IndexError:
+                continue
+        assert code != 0 or hashlib.sha256(out.encode()).hexdigest() != SCAN_GOLDEN[command]
+
+
 # sha256 of the stdout of `qforms sieve-ratio -Q 300 -N 10000 --trials 100
 # --seed 5 --coeffs <source>`: the class sums are exact integers, so the bytes do not
 # depend on the BLAS kernel or its thread count

@@ -676,6 +676,13 @@ def _batch_counts(abc, limit: int, M: int = 1) -> np.ndarray:
     return counts.reshape(len(abc), width)
 
 
+def _batch_matches_brute(fs, limit: int, M: int) -> bool:
+    """Whether one kernel pass over the batch fs gives each form's
+    half-lattice counts, its values told apart by offsets."""
+    counts = _batch_counts([tuple(f) for f in fs], limit, M)
+    return all(np.array_equal(counts[k], _half_counts_brute(f, limit, M)) for k, f in enumerate(fs))
+
+
 @given(
     fs=st.lists(
         st.one_of(st.sampled_from(_EDGE_FORMS), reduced_primitive_forms()),
@@ -684,13 +691,82 @@ def _batch_counts(abc, limit: int, M: int = 1) -> np.ndarray:
     ),
     limit=st.integers(min_value=1, max_value=2000),
     M=st.sampled_from([1, 6]),
+    chunk=st.sampled_from([64, forms._CHUNK]),
 )
-def test_batched_kernel_matches_brute_per_form(fs, limit, M):
+def test_batched_kernel_matches_brute_per_form(fs, limit, M, chunk):
     # forms of different discriminants and leading coefficients in one batch;
     # the offsets keep every form's values in its own row
-    counts = _batch_counts([tuple(f) for f in fs], limit, M)
-    for k, f in enumerate(fs):
-        assert np.array_equal(counts[k], _half_counts_brute(f, limit, M)), (k, tuple(f))
+    with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+        assert _batch_matches_brute(fs, limit, M), ([tuple(f) for f in fs], limit, M)
+
+
+def _fails(check, *args) -> bool:
+    """Whether a kernel check fails: returns False, or indexes past its table."""
+    try:
+        return not check(*args)
+    except IndexError:
+        return True
+
+
+def test_kernel_oracles_fire_on_planted_row_term_faults(monkeypatch, row_term_faults):
+    # the checks of test_lattice_kernel_matches_brute and, at both chunk
+    # sizes, test_batched_kernel_matches_brute_per_form; M ends each case
+    single = [(f, limit, M) for f in _EDGE_FORMS for limit in (10, 300, 3000) for M in (2, 6, 30)]
+    batched = [(_EDGE_FORMS, limit, M) for limit in (300, 2000) for M in (1, 6)]
+    chunks = (64, forms._CHUNK)
+
+    def fires(check, cases, fault):
+        for case in cases:
+            with monkeypatch.context() as patch:
+                patch.setattr(forms, "_row_terms", fault(case[-1]))
+                if _fails(check, *case):
+                    return True
+        return False
+
+    assert all(_kernel_matches_brute(*case) for case in single)
+    for chunk in chunks:
+        with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+            assert all(_batch_matches_brute(*case) for case in batched)
+    for fault in row_term_faults:
+        assert fires(_kernel_matches_brute, single, fault), fault.__name__
+        for chunk in chunks:
+            with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+                assert fires(_batch_matches_brute, batched, fault), (fault.__name__, chunk)
+
+
+@pytest.mark.parametrize("chunk", [64, forms._CHUNK])
+def test_batched_kernel_is_exact_where_its_terms_pass_2_to_the_63(chunk):
+    # (2^30, 2^31 - 1, 2^30) takes the values y^2 at (-y, y), with
+    # 4 a limit < 2^52.  At M = 6 and the default chunk its sub-rows follow
+    # some 16,000 points of x^2 + y^2 in one chunk, so a j^2 and C pass 2^63
+    # there and wrap; at _CHUNK = 64 the two forms share chunks.  Each value
+    # must still be exact.
+    big = QuadForm(1 << 30, (1 << 31) - 1, 1 << 30)
+    fs, limit, M = [QuadForm(1, 0, 1), big], 23300, 6
+    deepest, mixed = 0, False
+    with unittest.mock.patch.object(forms, "_CHUNK", chunk):
+        assert _batch_matches_brute(fs, limit, M)
+        for _, k, cnt in forms._half_lattice_values([tuple(f) for f in fs], limit, M):
+            mixed |= bool(k[0] != k[-1])
+            at = (np.cumsum(cnt) - cnt)[k == 1]
+            deepest = max(deepest, int(at.max(initial=0)))
+    assert mixed
+    if chunk == forms._CHUNK:
+        assert big.a * (M * deepest) ** 2 > 1 << 63, deepest
+
+
+def test_batched_kernel_guards_its_offsets():
+    # every value plus its offset must stay below 2^63
+    limit = 100
+    top = (1 << 63) - 1 - limit
+    with pytest.raises(ValueError, match="offsets"):
+        next(forms._half_lattice_values([(1, 1, 1)], limit, offsets=np.array([top + 1])))
+    vals = np.concatenate(
+        [v for v, _, _ in forms._half_lattice_values([(1, 1, 1)], limit, offsets=np.array([top]))]
+    )
+    assert vals.max() == (1 << 63) - 1
+    counts = np.bincount(vals - top, minlength=limit + 1)
+    assert np.array_equal(counts, _half_counts_brute(QuadForm(1, 1, 1), limit, 1))
 
 
 def test_batched_kernel_guards_the_largest_coefficients():
